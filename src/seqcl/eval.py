@@ -1,6 +1,7 @@
 """Evaluation of frozen frame-wise representations: linear-probe phase
 classification, phase-progression R^2, Kendall's tau over nearest-neighbor
-frame matches, AP@K retrieval, DTW alignment and similarity-matrix export."""
+frame matches, AP@K retrieval, DTW alignment, and export of the DTW path and
+the similarity heatmap."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 from . import encoder as enc
 from .data import DatasetSplit, VideoRecord
 from .errors import ConfigError, NumericError
+from .loss import cosine_similarities
 
 
 @dataclass
@@ -154,13 +156,6 @@ def linear_probe_progression(
 # --- rank and retrieval metrics ---
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    if (na == 0).any() or (nb == 0).any():
-        raise NumericError("zero-norm embedding row")
-    return (a / na) @ (b / nb).T
-
 def kendalls_tau(emb1: np.ndarray, emb2: np.ndarray) -> float:
     """Rank correlation between frame order in video 1 and the order of its
     nearest-neighbor frames in video 2. Pairs whose neighbors tie contribute
@@ -169,10 +164,34 @@ def kendalls_tau(emb1: np.ndarray, emb2: np.ndarray) -> float:
     if t1 < 2:
         raise ConfigError(f"need at least 2 frames, got {t1}")
     # argmax breaks score ties toward the smaller index
-    nn = _cosine(emb1, emb2).argmax(axis=1)
+    nn = cosine_similarities(emb1, emb2).argmax(axis=1)
     diff = np.sign(nn[None, :] - nn[:, None])
     upper = np.triu_indices(t1, k=1)
     return float(diff[upper].sum() / (t1 * (t1 - 1) / 2))
+
+
+def _top_k(scores: np.ndarray, K: int) -> np.ndarray:
+    """(rows, K) column indices of each row's K highest scores, best first.
+
+    The order is that of a stable descending sort: equal scores rank by lower
+    column index and NaN ranks last. A partition finds each row's K-th best
+    score; a row where exactly K scores reach it needs only those K sorted,
+    and any other row (a tie across the K-th place, or NaN) is fully sorted.
+    """
+    if K < 1:
+        raise ConfigError(f"K must be >= 1, got {K}")
+    rows, pool = scores.shape
+    if pool < K:
+        raise ConfigError(f"K={K} exceeds candidate pool of {pool} frames")
+    keep = scores >= np.partition(scores, pool - K, axis=1)[:, [pool - K]]
+    counts = keep.sum(axis=1)
+    exact, other = np.flatnonzero(counts == K), np.flatnonzero(counts != K)
+    top = np.empty((rows, K), dtype=np.intp)
+    cols = np.nonzero(keep[exact])[1].reshape(-1, K)  # ascending within a row
+    order = np.argsort(-scores[exact[:, None], cols], axis=1, kind="stable")
+    top[exact] = np.take_along_axis(cols, order, axis=1)
+    top[other] = np.argsort(-scores[other], axis=1, kind="stable")[:, :K]
+    return top
 
 
 def ap_at_k(
@@ -183,14 +202,7 @@ def ap_at_k(
     K: int,
 ) -> float:
     """Fraction of the K nearest candidate frames sharing the query's label."""
-    if K < 1:
-        raise ConfigError(f"K must be >= 1, got {K}")
-    if candidate_embs.shape[0] < K:
-        raise ConfigError(
-            f"K={K} exceeds candidate pool of {candidate_embs.shape[0]} frames"
-        )
-    scores = _cosine(query_emb[None, :], candidate_embs)[0]
-    top = np.argsort(-scores, kind="stable")[:K]
+    top = _top_k(cosine_similarities(query_emb[None, :], candidate_embs), K)[0]
     return float((np.asarray(candidate_labels)[top] == query_label).mean())
 
 
@@ -211,19 +223,15 @@ def retrieve_frames(
         pool.append(embs)
     if not pool:
         raise ConfigError("empty candidate pool")
-    pool = np.concatenate(pool)
-    if pool.shape[0] < K:
-        raise ConfigError(f"K={K} exceeds candidate pool of {pool.shape[0]} frames")
-    scores = _cosine(query_emb[None, :], pool)[0]
-    top = np.argsort(-scores, kind="stable")[:K]
-    return [(ids[i], frames[i], float(scores[i])) for i in top]
+    scores = cosine_similarities(query_emb[None, :], np.concatenate(pool))
+    return [(ids[i], frames[i], float(scores[0, i])) for i in _top_k(scores, K)[0]]
 
 
 # --- alignment ---
 
 
 def similarity_matrix(emb1: np.ndarray, emb2: np.ndarray, normalize: bool = False) -> np.ndarray:
-    m = _cosine(emb1, emb2)
+    m = cosine_similarities(emb1, emb2)
     if normalize:
         lo, hi = m.min(), m.max()
         m = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
@@ -237,22 +245,28 @@ def dtw_align(sim: np.ndarray) -> tuple[list[tuple[int, int]], float]:
         raise ConfigError("empty similarity matrix")
     t1, t2 = sim.shape
     cost = 1.0 - np.asarray(sim, dtype=np.float64)
-    acc = np.full((t1, t2), np.inf)
+    acc = np.empty((t1, t2))
     # predecessor: 0 diagonal, 1 vertical (i-1, j), 2 horizontal (i, j-1)
     prev = np.zeros((t1, t2), dtype=np.int8)
-    acc[0, 0] = cost[0, 0]
-    for j in range(1, t2):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-        prev[0, j] = 2
-    for i in range(1, t1):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        prev[i, 0] = 1
-    for i in range(1, t1):
-        for j in range(1, t2):
-            options = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            best = int(np.argmin(options))  # argmin keeps the preference order
-            acc[i, j] = options[best] + cost[i, j]
-            prev[i, j] = best
+    acc[0, :] = np.cumsum(cost[0, :])  # accumulate adds strictly left to right
+    acc[:, 0] = np.cumsum(cost[:, 0])
+    prev[0, 1:] = 2
+    prev[1:, 0] = 1
+    # Cells with i + j = d depend only on diagonals d-1 and d-2, so each
+    # anti-diagonal is one vector step. In the row-major flat arrays its cells
+    # are a slice with stride t2 - 1, and each predecessor is the same slice
+    # shifted back by t2 + 1 (diagonal), t2 (vertical) or 1 (horizontal).
+    acc_f, prev_f, cost_f = acc.reshape(-1), prev.reshape(-1), cost.reshape(-1)
+    interior = range(2, t1 + t2 - 1) if t1 > 1 and t2 > 1 else ()
+    for d in interior:
+        first, last = max(1, d - t2 + 1), min(t1 - 1, d - 1)
+        start, stop = first * t2 + d - first, last * t2 + d - last + 1
+        options = np.stack([acc_f[start - back : stop - back : t2 - 1]
+                            for back in (t2 + 1, t2, 1)])
+        best = options.argmin(axis=0)  # first minimum keeps the preference order
+        cells = slice(start, stop, t2 - 1)
+        acc_f[cells] = np.take_along_axis(options, best[None], axis=0)[0] + cost_f[cells]
+        prev_f[cells] = best
 
     path = [(t1 - 1, t2 - 1)]
     i, j = t1 - 1, t2 - 1
@@ -309,22 +323,24 @@ def evaluate(
                 taus.append(kendalls_tau(emb_i, emb_j))
     tau = float(np.mean(taus)) if taus else float("nan")
 
-    ap: dict[int, float] = {}
+    # Every frame of a test video queries the frames of the other test videos
+    # of its action; one ranking per frame serves every K.
     for K in Ks:
-        scores = []
-        for i, (rec, emb) in enumerate(zip(dataset.test, test_embs)):
-            cands, labels = [], []
-            for j, (other, other_emb) in enumerate(zip(dataset.test, test_embs)):
-                if j != i and _same_action(rec, other):
-                    cands.append(other_emb)
-                    labels.extend(other.phase_labels)
-            if not cands:
-                continue
-            cands = np.concatenate(cands)
-            labels = np.asarray(labels)
-            for t in range(rec.num_frames):
-                scores.append(ap_at_k(emb[t], rec.phase_labels[t], cands, labels, K))
-        ap[K] = float(np.mean(scores)) if scores else float("nan")
+        if K < 1:
+            raise ConfigError(f"K must be >= 1, got {K}")
+    ap_frames: dict[int, list[np.ndarray]] = {K: [] for K in Ks}
+    for i, rec in enumerate(dataset.test):
+        pool = [j for j, other in enumerate(dataset.test) if j != i and _same_action(rec, other)]
+        if not pool or not Ks:
+            continue
+        cands = np.concatenate([test_embs[j] for j in pool])
+        labels = np.concatenate([np.asarray(dataset.test[j].phase_labels) for j in pool])
+        top = _top_k(cosine_similarities(test_embs[i], cands), max(Ks))
+        hits = labels[top] == np.asarray(rec.phase_labels)[:, None]
+        for K in Ks:
+            ap_frames[K].append(hits[:, :K].mean(axis=1))
+    ap = {K: float(np.mean(np.concatenate(v))) if v else float("nan")
+          for K, v in ap_frames.items()}
 
     return EvalReport(
         classification_acc=acc, progression_r2=r2, kendalls_tau=tau, ap_at_k=ap
@@ -341,10 +357,6 @@ def write_pgm(matrix: np.ndarray, path: str | Path) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(gray.tobytes())
-
-
-def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
-    np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.9g")
 
 
 def write_path_csv(path_pairs: list[tuple[int, int]], path: str | Path) -> None:

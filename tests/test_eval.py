@@ -275,6 +275,68 @@ def test_dtw_matches_enumeration():
             assert (i2 - i1, j2 - j1) in {(1, 0), (0, 1), (1, 1)}
 
 
+def reference_dtw(sim):
+    """Cell-by-cell DTW: the recursion `dtw_align` must reproduce bit for bit."""
+    t1, t2 = sim.shape
+    cost = 1.0 - np.asarray(sim, dtype=np.float64)
+    acc = np.full((t1, t2), np.inf)
+    # predecessor: 0 diagonal, 1 vertical (i-1, j), 2 horizontal (i, j-1)
+    prev = np.zeros((t1, t2), dtype=np.int8)
+    acc[0, 0] = cost[0, 0]
+    for j in range(1, t2):
+        acc[0, j] = acc[0, j - 1] + cost[0, j]
+        prev[0, j] = 2
+    for i in range(1, t1):
+        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
+        prev[i, 0] = 1
+    for i in range(1, t1):
+        for j in range(1, t2):
+            options = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+            best = int(np.argmin(options))  # argmin keeps the preference order
+            acc[i, j] = options[best] + cost[i, j]
+            prev[i, j] = best
+
+    path = [(t1 - 1, t2 - 1)]
+    i, j = t1 - 1, t2 - 1
+    while (i, j) != (0, 0):
+        step = prev[i, j]
+        if step == 0:
+            i, j = i - 1, j - 1
+        elif step == 1:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    path.reverse()
+    return path, float(acc[t1 - 1, t2 - 1])
+
+
+def _dtw_cases():
+    rng = np.random.default_rng(14)
+    for _ in range(40):  # rectangular, continuous scores
+        yield rng.random((int(rng.integers(2, 61)), int(rng.integers(2, 91))))
+    for n in (1, 2, 7, 40):  # a single row or column
+        yield rng.random((1, n))
+        yield rng.random((n, 1))
+    for levels in (2, 3, 5):  # quantized scores: exact ties in most cells
+        for _ in range(10):
+            shape = (int(rng.integers(1, 61)), int(rng.integers(1, 91)))
+            yield rng.integers(0, levels, shape) / (levels - 1)
+    yield np.zeros((30, 45))  # every step ties everywhere
+    yield np.asfortranarray(rng.random((17, 23)))
+    with_nan = rng.random((12, 15))
+    with_nan[4, 6] = np.nan
+    yield with_nan
+
+
+def test_dtw_equals_cell_by_cell_reference():
+    for sim in _dtw_cases():
+        path, cost = dtw_align(sim)
+        ref_path, ref_cost = reference_dtw(sim)
+        assert path == ref_path, sim.shape
+        assert cost == ref_cost or (np.isnan(cost) and np.isnan(ref_cost)), sim.shape
+
+
 # --- report-level ---
 
 
@@ -310,6 +372,70 @@ def test_evaluate_full_report_on_zero_noise_synthetic():
     assert report.progression_r2 <= 1
     assert -1 <= report.kendalls_tau <= 1
     assert 0 <= report.ap_at_k[5] <= 1
+
+
+def test_evaluate_ap_matches_per_frame_oracle(monkeypatch):
+    """Unequal video lengths, a video with no same-action pool, and embeddings
+    drawn from a small palette of rows, so most candidate scores tie exactly."""
+    split = generate_synthetic(
+        SyntheticSpec(num_videos=12, num_phases=3, feature_dim=6, min_len=18,
+                      max_len=40, noise_std=0.1, seed=21)
+    )
+    for n, rec in enumerate(split.test):
+        rec.action_label = int(n == 2)
+    rng = np.random.default_rng(22)
+    palette = rng.standard_normal((4, 5))
+    palette /= np.linalg.norm(palette, axis=1, keepdims=True)
+    fake = {rec.id: palette[rng.integers(0, len(palette), rec.num_frames)]
+            for rec in split.train + split.test}
+    monkeypatch.setattr("seqcl.eval.embed_dataset",
+                        lambda params, cfg, records: [fake[r.id] for r in records])
+    Ks = (1, 5, 15)
+    cfg = tiny_encoder_cfg(D=6)
+    report = evaluate(enc.init_params(cfg, 0), cfg, split, probe=ProbeConfig(steps=5), Ks=Ks)
+
+    test = split.test
+    assert len(test) == 3 and test[0].num_frames != test[1].num_frames
+    for K in Ks:
+        per_frame = []
+        for i, rec in enumerate(test):
+            pool = [(fake[o.id][t], o.phase_labels[t]) for j, o in enumerate(test)
+                    if j != i and o.action_label == rec.action_label
+                    for t in range(o.num_frames)]
+            if not pool:
+                continue
+            for q, label in zip(fake[rec.id], rec.phase_labels):
+                scores = [float(q @ c) for c, _ in pool]
+                top = sorted(range(len(pool)), key=lambda c: (-scores[c], c))[:K]
+                per_frame.append(sum(pool[c][1] == label for c in top) / K)
+        assert report.ap_at_k[K] == float(np.mean(per_frame))
+
+
+def test_evaluate_k_beyond_pool_is_config_error():
+    split = generate_synthetic(
+        SyntheticSpec(num_videos=8, num_phases=3, feature_dim=6, min_len=15,
+                      max_len=25, noise_std=0.0, seed=20)
+    )
+    cfg = tiny_encoder_cfg(D=6)
+    params = enc.init_params(cfg, 0)
+    pool = min(r.num_frames for r in split.test)  # each of the two test videos pools the other
+    with pytest.raises(ConfigError):
+        evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(5, pool + 1))
+    with pytest.raises(ConfigError):
+        evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(0, 5))
+
+
+def test_zero_norm_row_is_numeric_error():
+    zero = np.zeros((2, 3))
+    zero[0, 0] = 1.0
+    with pytest.raises(NumericError):
+        similarity_matrix(zero, np.ones((2, 3)))
+    with pytest.raises(NumericError):
+        kendalls_tau(zero, np.ones((2, 3)))
+    with pytest.raises(NumericError):
+        ap_at_k(np.ones(3), 0, zero, np.zeros(2, dtype=int), 1)
+    with pytest.raises(NumericError):
+        retrieve_frames(np.ones(3), {"q": np.ones((1, 3)), "c": zero}, "q", K=1)
 
 
 def test_write_pgm(tmp_path):
