@@ -17,6 +17,7 @@ from . import train as train_mod
 from .config import RunConfig, load_config
 from .encoder import load_checkpoint
 from .errors import ConfigError, FormatError, NumericError
+from .loss import cosine_similarities
 
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
@@ -43,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float)
         p.add_argument("--epochs", type=int)
         p.add_argument("--sampling", choices=["random", "even"])
-        p.add_argument("--threads", type=int)
         p.add_argument("--out", type=Path, help="override the command's output path")
 
     for name, desc in [
@@ -76,7 +76,6 @@ def _effective_config(args) -> RunConfig:
         "loss.tau": args.tau,
         "optim.lr": args.lr,
         "optim.epochs": args.epochs,
-        "threads": args.threads,
     }
     return load_config(args.config, overrides)
 
@@ -131,12 +130,11 @@ def cmd_align(cfg: RunConfig, args) -> None:
     for vid in (args.video_a, args.video_b):
         if vid not in embs:
             raise FileNotFoundError(f"video id not in dataset: {vid}")
-    sim = eval_mod.similarity_matrix(embs[args.video_a], embs[args.video_b])
+    sim = cosine_similarities(embs[args.video_a], embs[args.video_b])
     path, cost = eval_mod.dtw_align(sim)
     stem = Path(args.out) if args.out else Path(f"align_{args.video_a}_{args.video_b}")
     eval_mod.write_path_csv(path, stem.with_suffix(".csv"))
-    heat = eval_mod.similarity_matrix(embs[args.video_a], embs[args.video_b], normalize=True)
-    eval_mod.write_pgm(heat, stem.with_suffix(".pgm"))
+    eval_mod.write_pgm(sim, stem.with_suffix(".pgm"))
     print(f"alignment cost {cost:.6f}, {len(path)} steps -> {stem}.csv / {stem}.pgm")
 
 

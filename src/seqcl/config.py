@@ -1,14 +1,13 @@
 """Run configuration: one JSON document covering every pipeline stage, with
-CLI flag overrides. All randomness flows from a single seed split into named
-streams so stages stay independently reproducible."""
+CLI flag overrides. All randomness flows from the run seed: `load_config`
+always sets the data and optimizer seeds to it, and training draws from a
+sub-stream of it (see `train.TRAIN_STREAM`)."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .augment import AugmentConfig
 from .data import SyntheticSpec
@@ -17,9 +16,6 @@ from .errors import ConfigError
 from .eval import ProbeConfig
 from .loss import SCLConfig
 from .train import OptimConfig
-
-# fixed sub-stream indices for the named rng streams
-STREAMS = {"data": 0, "augment": 1, "init": 2, "train": 3}
 
 
 @dataclass
@@ -34,10 +30,6 @@ class RunConfig:
     data_dir: str = "data"
     checkpoint: str = "encoder.ckpt"
     report: str = "report.json"
-    threads: int = 1
-
-    def rng(self, stream: str) -> np.random.Generator:
-        return np.random.default_rng([self.seed, STREAMS[stream]])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -64,14 +56,12 @@ def config_from_dict(payload: dict) -> RunConfig:
     for key, cls in sections.items():
         if key in payload:
             kwargs[key] = _apply_section(cls, payload.pop(key), key)
-    known = {"seed", "data_dir", "checkpoint", "report", "threads"}
+    known = {"seed", "data_dir", "checkpoint", "report"}
     for key in payload:
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
     kwargs.update(payload)
-    cfg = RunConfig(**kwargs)
-    # the data/optimizer seeds are derived from the run seed unless set explicitly
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path | None, overrides: dict) -> RunConfig:

@@ -22,8 +22,7 @@ from .errors import ConfigError, FormatError, SeqclError
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
-BN_EPS = 1e-5
-LN_EPS = 1e-5
+NORM_EPS = 1e-5  # batch norm and layer norm
 BN_MOMENTUM = 0.1
 
 
@@ -37,7 +36,6 @@ class EncoderConfig:
     out_dim: int = 128
     proj_hidden: int = 256
     proj_out: int = 128
-    dropout: float = 0.0
 
     def __post_init__(self):
         dims = (
@@ -52,8 +50,6 @@ class EncoderConfig:
             )
         if self.model_dim % 2 != 0:
             raise ConfigError(f"model_dim must be even for sin/cos encoding")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -130,109 +126,94 @@ def positional_encoding(T: int, model_dim: int) -> np.ndarray:
 # --- layer primitives (forward returns cache for the exact backward) ---
 
 
-def _bn_forward(x, gamma, beta, train, buffers, key):
-    if train:
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        buffers[f"{key}.mean"] = (1 - BN_MOMENTUM) * buffers[f"{key}.mean"] + BN_MOMENTUM * mu
-        buffers[f"{key}.var"] = (1 - BN_MOMENTUM) * buffers[f"{key}.var"] + BN_MOMENTUM * var
-    else:
-        mu = buffers[f"{key}.mean"]
-        var = buffers[f"{key}.var"]
-    invstd = 1.0 / np.sqrt(var + BN_EPS)
+def _affine(x, p, name):
+    return x @ p[f"{name}.W"] + p[f"{name}.b"]
+
+
+def _affine_backward(d, x, p, name, grads, input_grad=True):
+    """Accumulate the W and b gradients of `_affine(x, p, name)` under the
+    upstream gradient d; return the input gradient unless input_grad is off."""
+    grads[f"{name}.W"] += x.T @ d
+    grads[f"{name}.b"] += d.sum(axis=0)
+    return d @ p[f"{name}.W"].T if input_grad else None
+
+
+def _norm_forward(x, p, name, axis, stats=None):
+    """Normalize over `axis` (0: batch norm over a view's frames, 1: layer
+    norm over each frame's features), then scale and shift. `stats` is a
+    fixed (mean, var) used in place of x's own, which the backward then treats
+    as constants: batch norm's running statistics at eval."""
+    fixed = stats is not None
+    if not fixed:
+        stats = x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
+    mu, var = stats
+    invstd = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x - mu) * invstd
-    return gamma * xhat + beta, {"xhat": xhat, "invstd": invstd, "train": train}
+    cache = {"xhat": xhat, "invstd": invstd, "axis": axis, "fixed_stats": fixed,
+             "mean": mu, "var": var}
+    return p[f"{name}.gamma"] * xhat + p[f"{name}.beta"], cache
 
 
-def _bn_backward(dy, cache, gamma):
-    xhat, invstd = cache["xhat"], cache["invstd"]
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    dxhat = dy * gamma
-    if cache["train"]:
-        dx = invstd * (
-            dxhat
-            - dxhat.mean(axis=0)
-            - xhat * (dxhat * xhat).mean(axis=0)
-        )
-    else:
-        dx = dxhat * invstd
-    return dx, dgamma, dbeta
-
-
-def _ln_forward(x, gamma, beta):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    invstd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * invstd
-    return gamma * xhat + beta, {"xhat": xhat, "invstd": invstd}
-
-
-def _ln_backward(dy, cache, gamma):
-    xhat, invstd = cache["xhat"], cache["invstd"]
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    dxhat = dy * gamma
-    dx = invstd * (
+def _norm_backward(dy, cache, p, name, grads):
+    xhat, invstd, axis = cache["xhat"], cache["invstd"], cache["axis"]
+    grads[f"{name}.gamma"] += (dy * xhat).sum(axis=0)
+    grads[f"{name}.beta"] += dy.sum(axis=0)
+    dxhat = dy * p[f"{name}.gamma"]
+    if cache["fixed_stats"]:
+        return dxhat * invstd
+    return invstd * (
         dxhat
-        - dxhat.mean(axis=1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        - dxhat.mean(axis=axis, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)
     )
-    return dx, dgamma, dbeta
+
+
+def _batch_norm(x, params, name, train):
+    """Batch norm over the frames of one view: batch statistics while training,
+    which also move the running statistics; running statistics at eval."""
+    buffers = params.buffers
+    stats = None if train else (buffers[f"{name}.mean"], buffers[f"{name}.var"])
+    out, cache = _norm_forward(x, params.tensors, name, 0, stats)
+    if train:
+        for stat in ("mean", "var"):
+            key = f"{name}.{stat}"
+            buffers[key] = (1 - BN_MOMENTUM) * buffers[key] + BN_MOMENTUM * cache[stat][0]
+    return out, cache
 
 
 def _attn_forward(x, p, prefix, num_heads):
     T, m = x.shape
     hd = m // num_heads
-    q = x @ p[f"{prefix}.q.W"] + p[f"{prefix}.q.b"]
-    k = x @ p[f"{prefix}.k.W"] + p[f"{prefix}.k.b"]
-    v = x @ p[f"{prefix}.v.W"] + p[f"{prefix}.v.b"]
     # (heads, T, head_dim)
-    qh = q.reshape(T, num_heads, hd).transpose(1, 0, 2)
-    kh = k.reshape(T, num_heads, hd).transpose(1, 0, 2)
-    vh = v.reshape(T, num_heads, hd).transpose(1, 0, 2)
+    qh, kh, vh = (
+        _affine(x, p, f"{prefix}.{name}").reshape(T, num_heads, hd).transpose(1, 0, 2)
+        for name in "qkv"
+    )
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
     ctx = (attn @ vh).transpose(1, 0, 2).reshape(T, m)
-    out = ctx @ p[f"{prefix}.o.W"] + p[f"{prefix}.o.b"]
     cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx}
-    return out, cache
+    return _affine(ctx, p, f"{prefix}.o"), cache
 
 
 def _attn_backward(dout, cache, p, prefix, num_heads, grads):
-    x, qh, kh, vh, attn, ctx = (
-        cache["x"], cache["qh"], cache["kh"], cache["vh"], cache["attn"], cache["ctx"]
-    )
+    x, qh, kh, vh, attn = cache["x"], cache["qh"], cache["kh"], cache["vh"], cache["attn"]
     T, m = x.shape
     hd = m // num_heads
-    grads[f"{prefix}.o.W"] += ctx.T @ dout
-    grads[f"{prefix}.o.b"] += dout.sum(axis=0)
-    dctx = (dout @ p[f"{prefix}.o.W"].T).reshape(T, num_heads, hd).transpose(1, 0, 2)
+    dctx = _affine_backward(dout, cache["ctx"], p, f"{prefix}.o", grads)
+    dctx = dctx.reshape(T, num_heads, hd).transpose(1, 0, 2)
     dattn = dctx @ vh.transpose(0, 2, 1)
     dvh = attn.transpose(0, 2, 1) @ dctx
     dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
     dscores /= np.sqrt(hd)
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 2, 1) @ qh
-    dq = dqh.transpose(1, 0, 2).reshape(T, m)
-    dk = dkh.transpose(1, 0, 2).reshape(T, m)
-    dv = dvh.transpose(1, 0, 2).reshape(T, m)
-    dx = np.zeros_like(x)
-    for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        grads[f"{prefix}.{name}.W"] += x.T @ dmat
-        grads[f"{prefix}.{name}.b"] += dmat.sum(axis=0)
-        dx += dmat @ p[f"{prefix}.{name}.W"].T
-    return dx
-
-
-def _dropout_mask(shape, p, rng):
-    if p <= 0:
-        return None
-    if rng is None:
-        raise SeqclError("dropout > 0 requires an rng in training mode")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return sum(
+        _affine_backward(dmat.transpose(1, 0, 2).reshape(T, m), x, p, f"{prefix}.{name}", grads)
+        for name, dmat in (("q", dqh), ("k", dkh), ("v", dvh))
+    )
 
 
 def forward(
@@ -241,7 +222,6 @@ def forward(
     x: np.ndarray,
     *,
     train: bool = False,
-    rng: np.random.Generator | None = None,
     pos_encoding: np.ndarray | None = None,
 ) -> tuple[EmbeddingSequence, dict]:
     """Encode one view (T x input_dim) into (H, Z); returns cache for backward."""
@@ -250,52 +230,33 @@ def forward(
         raise ConfigError(f"expected (T, {cfg.input_dim}) input, got {x.shape}")
     T = x.shape[0]
     p = params.tensors
-    cache: dict = {"x": x, "train": train, "layers": []}
+    cache: dict = {"x": x, "layers": []}
 
-    z1 = x @ p["proj.fc1.W"] + p["proj.fc1.b"]
-    bn1, cache["bn1"] = _bn_forward(
-        z1, p["proj.bn1.gamma"], p["proj.bn1.beta"], train, params.buffers, "proj.bn1"
-    )
+    bn1, cache["bn1"] = _batch_norm(_affine(x, p, "proj.fc1"), params, "proj.bn1", train)
     a1 = np.maximum(bn1, 0.0)
-    z2 = a1 @ p["proj.fc2.W"] + p["proj.fc2.b"]
-    bn2, cache["bn2"] = _bn_forward(
-        z2, p["proj.bn2.gamma"], p["proj.bn2.beta"], train, params.buffers, "proj.bn2"
-    )
-    a2 = np.maximum(bn2, 0.0)
+    bn2, cache["bn2"] = _batch_norm(_affine(a1, p, "proj.fc2"), params, "proj.bn2", train)
     cache["a1"], cache["bn1_out"], cache["bn2_out"] = a1, bn1, bn2
 
     pe = positional_encoding(T, cfg.model_dim) if pos_encoding is None else pos_encoding
-    h = a2 + pe
+    h = np.maximum(bn2, 0.0) + pe
 
-    drop = cfg.dropout if train else 0.0
     for i in range(cfg.num_layers):
-        lc: dict = {"in": h}
-        norm1, lc["ln1"] = _ln_forward(h, p[f"layer{i}.ln1.gamma"], p[f"layer{i}.ln1.beta"])
-        lc["norm1"] = norm1
+        lc: dict = {}
+        norm1, lc["ln1"] = _norm_forward(h, p, f"layer{i}.ln1", 1)
         attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads)
-        lc["attn_mask"] = _dropout_mask(attn.shape, drop, rng)
-        if lc["attn_mask"] is not None:
-            attn = attn * lc["attn_mask"]
         h = h + attn
 
-        lc["mid"] = h
-        norm2, lc["ln2"] = _ln_forward(h, p[f"layer{i}.ln2.gamma"], p[f"layer{i}.ln2.beta"])
-        lc["norm2"] = norm2
-        f1 = norm2 @ p[f"layer{i}.ffn.fc1.W"] + p[f"layer{i}.ffn.fc1.b"]
-        fa = np.maximum(f1, 0.0)
-        ffn = fa @ p[f"layer{i}.ffn.fc2.W"] + p[f"layer{i}.ffn.fc2.b"]
-        lc["f1"], lc["fa"] = f1, fa
-        lc["ffn_mask"] = _dropout_mask(ffn.shape, drop, rng)
-        if lc["ffn_mask"] is not None:
-            ffn = ffn * lc["ffn_mask"]
-        h = h + ffn
+        lc["norm2"], lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", 1)
+        lc["f1"] = _affine(lc["norm2"], p, f"layer{i}.ffn.fc1")
+        lc["fa"] = np.maximum(lc["f1"], 0.0)
+        h = h + _affine(lc["fa"], p, f"layer{i}.ffn.fc2")
         cache["layers"].append(lc)
 
     cache["trunk"] = h
-    H = h @ p["out.W"] + p["out.b"]
-    g1 = H @ p["head.fc1.W"] + p["head.fc1.b"]
+    H = _affine(h, p, "out")
+    g1 = _affine(H, p, "head.fc1")
     ga = np.maximum(g1, 0.0)
-    Z = ga @ p["head.fc2.W"] + p["head.fc2.b"]
+    Z = _affine(ga, p, "head.fc2")
     cache["H"], cache["g1"], cache["ga"] = H, g1, ga
     return EmbeddingSequence(H=H, Z=Z), cache
 
@@ -317,56 +278,26 @@ def backward(
     p = params.tensors
     grads = {name: np.zeros_like(t) for name, t in p.items()}
 
-    grads["head.fc2.W"] += cache["ga"].T @ grad_Z
-    grads["head.fc2.b"] += grad_Z.sum(axis=0)
-    dga = grad_Z @ p["head.fc2.W"].T
-    dg1 = dga * (cache["g1"] > 0)
-    grads["head.fc1.W"] += cache["H"].T @ dg1
-    grads["head.fc1.b"] += dg1.sum(axis=0)
-    dH = dg1 @ p["head.fc1.W"].T
+    dga = _affine_backward(grad_Z, cache["ga"], p, "head.fc2", grads)
+    dH = _affine_backward(dga * (cache["g1"] > 0), cache["H"], p, "head.fc1", grads)
     if grad_H is not None:
         dH = dH + grad_H
-
-    grads["out.W"] += cache["trunk"].T @ dH
-    grads["out.b"] += dH.sum(axis=0)
-    dh = dH @ p["out.W"].T
+    dh = _affine_backward(dH, cache["trunk"], p, "out", grads)
 
     for i in reversed(range(cfg.num_layers)):
         lc = cache["layers"][i]
-        dffn = dh if lc["ffn_mask"] is None else dh * lc["ffn_mask"]
-        grads[f"layer{i}.ffn.fc2.W"] += lc["fa"].T @ dffn
-        grads[f"layer{i}.ffn.fc2.b"] += dffn.sum(axis=0)
-        dfa = dffn @ p[f"layer{i}.ffn.fc2.W"].T
+        dfa = _affine_backward(dh, lc["fa"], p, f"layer{i}.ffn.fc2", grads)
         df1 = dfa * (lc["f1"] > 0)
-        grads[f"layer{i}.ffn.fc1.W"] += lc["norm2"].T @ df1
-        grads[f"layer{i}.ffn.fc1.b"] += df1.sum(axis=0)
-        dnorm2 = df1 @ p[f"layer{i}.ffn.fc1.W"].T
-        dmid, dg, db = _ln_backward(dnorm2, lc["ln2"], p[f"layer{i}.ln2.gamma"])
-        grads[f"layer{i}.ln2.gamma"] += dg
-        grads[f"layer{i}.ln2.beta"] += db
-        dh = dh + dmid
+        dnorm2 = _affine_backward(df1, lc["norm2"], p, f"layer{i}.ffn.fc1", grads)
+        dh = dh + _norm_backward(dnorm2, lc["ln2"], p, f"layer{i}.ln2", grads)
+        dnorm1 = _attn_backward(dh, lc["attn"], p, f"layer{i}.attn", cfg.num_heads, grads)
+        dh = dh + _norm_backward(dnorm1, lc["ln1"], p, f"layer{i}.ln1", grads)
 
-        dattn = dh if lc["attn_mask"] is None else dh * lc["attn_mask"]
-        dnorm1 = _attn_backward(dattn, lc["attn"], p, f"layer{i}.attn", cfg.num_heads, grads)
-        din, dg, db = _ln_backward(dnorm1, lc["ln1"], p[f"layer{i}.ln1.gamma"])
-        grads[f"layer{i}.ln1.gamma"] += dg
-        grads[f"layer{i}.ln1.beta"] += db
-        dh = dh + din
-
-    da2 = dh  # positional encoding is additive, constant
-    dbn2 = da2 * (cache["bn2_out"] > 0)
-    dz2, dg, db = _bn_backward(dbn2, cache["bn2"], p["proj.bn2.gamma"])
-    grads["proj.bn2.gamma"] += dg
-    grads["proj.bn2.beta"] += db
-    grads["proj.fc2.W"] += cache["a1"].T @ dz2
-    grads["proj.fc2.b"] += dz2.sum(axis=0)
-    da1 = dz2 @ p["proj.fc2.W"].T
-    dbn1 = da1 * (cache["bn1_out"] > 0)
-    dz1, dg, db = _bn_backward(dbn1, cache["bn1"], p["proj.bn1.gamma"])
-    grads["proj.bn1.gamma"] += dg
-    grads["proj.bn1.beta"] += db
-    grads["proj.fc1.W"] += cache["x"].T @ dz1
-    grads["proj.fc1.b"] += dz1.sum(axis=0)
+    # positional encoding is additive and constant
+    dz2 = _norm_backward(dh * (cache["bn2_out"] > 0), cache["bn2"], p, "proj.bn2", grads)
+    da1 = _affine_backward(dz2, cache["a1"], p, "proj.fc2", grads)
+    dz1 = _norm_backward(da1 * (cache["bn1_out"] > 0), cache["bn1"], p, "proj.bn1", grads)
+    _affine_backward(dz1, cache["x"], p, "proj.fc1", grads, input_grad=False)
     return grads
 
 
@@ -420,9 +351,14 @@ def load_checkpoint(
     if off + cfg_len > len(blob):
         raise FormatError(f"{path}: truncated config blob")
     try:
-        cfg = EncoderConfig(**json.loads(blob[off : off + cfg_len].decode("utf-8")))
-    except (ValueError, TypeError) as exc:
+        fields = json.loads(blob[off : off + cfg_len].decode("utf-8"))
+        # checkpoints from before dropout was removed carry "dropout": 0.0
+        dropout = fields.pop("dropout", 0.0)
+        cfg = EncoderConfig(**fields)
+    except (ValueError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: invalid config blob: {exc}") from exc
+    if dropout != 0.0:
+        raise FormatError(f"{path}: dropout={dropout!r} is not supported")
     off += cfg_len
 
     tensors: dict[str, np.ndarray] = {}

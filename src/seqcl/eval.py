@@ -230,14 +230,6 @@ def retrieve_frames(
 # --- alignment ---
 
 
-def similarity_matrix(emb1: np.ndarray, emb2: np.ndarray, normalize: bool = False) -> np.ndarray:
-    m = cosine_similarities(emb1, emb2)
-    if normalize:
-        lo, hi = m.min(), m.max()
-        m = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
-    return m
-
-
 def dtw_align(sim: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     """Minimal-cost monotone alignment path on cost 1 - sim with steps
     down/right/diagonal; ties prefer the diagonal, then the vertical step."""
@@ -351,8 +343,12 @@ def evaluate(
 
 
 def write_pgm(matrix: np.ndarray, path: str | Path) -> None:
-    """8-bit grayscale PGM (P5) of a [0, 1] matrix."""
-    gray = np.clip(np.asarray(matrix) * 255.0, 0, 255).astype(np.uint8)
+    """8-bit grayscale PGM (P5) of a finite matrix, min-max scaled to [0, 255];
+    a constant matrix is all black."""
+    m = np.asarray(matrix, dtype=np.float64)
+    lo, hi = m.min(), m.max()
+    m = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
+    gray = np.clip(m * 255.0, 0, 255).astype(np.uint8)
     h, w = gray.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -15,6 +15,10 @@ from .data import DatasetSplit
 from .errors import ConfigError, NumericError
 from .loss import SCLConfig, baseline_contrastive_loss, scl_loss, timestamp_correspondence
 
+# The training rng is np.random.default_rng([seed, TRAIN_STREAM]): a sub-stream
+# of the run seed that shuffles batches and draws every view pair.
+TRAIN_STREAM = 3
+
 
 @dataclass
 class OptimConfig:
@@ -84,13 +88,11 @@ def adam_step(
         theta -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def _pair_loss_and_grads(
-    state, enc_cfg, scl_cfg, optim_cfg, pair, scale, grads_out, rng
-):
+def _pair_loss_and_grads(state, enc_cfg, scl_cfg, optim_cfg, pair, scale, grads_out):
     """Forward both views, apply the configured loss, backprop; returns loss or None
     when the baseline loss has no timestamp matches for this pair."""
-    emb1, cache1 = enc.forward(state.params, enc_cfg, pair.view1.features, train=True, rng=rng)
-    emb2, cache2 = enc.forward(state.params, enc_cfg, pair.view2.features, train=True, rng=rng)
+    emb1, cache1 = enc.forward(state.params, enc_cfg, pair.view1.features, train=True)
+    emb2, cache2 = enc.forward(state.params, enc_cfg, pair.view2.features, train=True)
     if optim_cfg.loss_kind == "scl":
         loss, (g1, g2) = scl_loss(
             emb1.Z, emb2.Z, pair.view1.timestamps, pair.view2.timestamps, scl_cfg
@@ -129,7 +131,7 @@ def train_epoch(
         for rec in batch:
             pair = build_view_pair(rec, aug_cfg, rng)
             loss = _pair_loss_and_grads(
-                state, enc_cfg, scl_cfg, optim_cfg, pair, 1.0 / len(batch), grads, rng
+                state, enc_cfg, scl_cfg, optim_cfg, pair, 1.0 / len(batch), grads
             )
             if loss is not None:
                 losses.append(loss)
@@ -187,7 +189,7 @@ def fit(
         _, state = load_train_checkpoint(checkpoint_path)
     else:
         state = TrainState.fresh(enc.init_params(enc_cfg, seed=optim_cfg.seed))
-    rng = np.random.default_rng([optim_cfg.seed, 3])  # "train" stream
+    rng = np.random.default_rng([optim_cfg.seed, TRAIN_STREAM])
 
     batches = -(-len(dataset.train) // optim_cfg.videos_per_batch)
     total_steps = max(1, optim_cfg.epochs * batches)

@@ -1,4 +1,7 @@
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,6 @@ def test_config_validation():
         tiny_encoder_cfg(model_dim=15)  # not divisible by heads, odd
     with pytest.raises(ConfigError):
         tiny_encoder_cfg(num_layers=0)
-    with pytest.raises(ConfigError):
-        tiny_encoder_cfg(dropout=1.0)
 
 
 def test_init_deterministic_and_bounded():
@@ -121,10 +122,10 @@ def test_residual_wiring_smoke():
     emb, cache = enc.forward(params, cfg, x, train=True)
     p = params.tensors
     z1 = x @ p["proj.fc1.W"] + p["proj.fc1.b"]
-    bn1 = p["proj.bn1.gamma"] * (z1 - z1.mean(0)) / np.sqrt(z1.var(0) + enc.BN_EPS)
+    bn1 = p["proj.bn1.gamma"] * (z1 - z1.mean(0)) / np.sqrt(z1.var(0) + enc.NORM_EPS)
     a1 = np.maximum(bn1 + p["proj.bn1.beta"], 0)
     z2 = a1 @ p["proj.fc2.W"] + p["proj.fc2.b"]
-    bn2 = p["proj.bn2.gamma"] * (z2 - z2.mean(0)) / np.sqrt(z2.var(0) + enc.BN_EPS)
+    bn2 = p["proj.bn2.gamma"] * (z2 - z2.mean(0)) / np.sqrt(z2.var(0) + enc.NORM_EPS)
     a2 = np.maximum(bn2 + p["proj.bn2.beta"], 0)
     expected = (a2 + enc.positional_encoding(6, cfg.model_dim)) @ p["out.W"] + p["out.b"]
     assert np.allclose(emb.H, expected, atol=1e-12)
@@ -157,11 +158,14 @@ def test_backward_deterministic():
         assert np.array_equal(g1[name], g2[name])
 
 
-@pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_gradients_match_finite_differences(train, seed):
+@pytest.mark.parametrize("seed,train,num_layers", [
+    pytest.param(seed, train, num_layers,
+                 id=f"{seed}-{train}" + ("" if num_layers == 1 else f"-{num_layers}layers"))
+    for num_layers in (1, 2) for train in (True, False) for seed in (0, 1)
+])
+def test_gradients_match_finite_differences(seed, train, num_layers):
     cfg = tiny_encoder_cfg(D=6, model_dim=8, num_heads=2, ffn_dim=12, out_dim=5,
-                           proj_hidden=5, proj_out=4)
+                           proj_hidden=5, proj_out=4, num_layers=num_layers)
     params = enc.init_params(cfg, seed)
     rng = np.random.default_rng(100 + seed)
     x = rng.standard_normal((5, 6))
@@ -220,5 +224,40 @@ def test_checkpoint_corruption_rejected(tmp_path):
     with pytest.raises(FormatError):
         enc.load_checkpoint(p)
     p.write_bytes(blob[: len(blob) // 2])
+    with pytest.raises(FormatError):
+        enc.load_checkpoint(p)
+
+
+def _rewrite_config_blob(path, **fields):
+    """Rewrite a checkpoint's JSON config blob with extra fields set."""
+    blob = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    cfg = json.loads(blob[12 : 12 + cfg_len])
+    cfg.update(fields)
+    new = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + cfg_len :])
+
+
+def test_checkpoint_with_legacy_zero_dropout_loads(tmp_path):
+    cfg = tiny_encoder_cfg()
+    params = enc.init_params(cfg, 21)
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, params)
+    _, expected, _ = enc.load_checkpoint(p)
+    _rewrite_config_blob(p, dropout=0.0)
+    cfg2, params2, _ = enc.load_checkpoint(p)
+    assert cfg2 == cfg
+    for name in expected.tensors:
+        assert np.array_equal(params2.tensors[name], expected.tensors[name])
+    for name in expected.buffers:
+        assert np.array_equal(params2.buffers[name], expected.buffers[name])
+
+
+def test_checkpoint_with_nonzero_dropout_rejected(tmp_path):
+    from seqcl.errors import FormatError
+    cfg = tiny_encoder_cfg()
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
+    _rewrite_config_blob(p, dropout=0.5)
     with pytest.raises(FormatError):
         enc.load_checkpoint(p)

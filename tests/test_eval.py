@@ -20,9 +20,9 @@ from seqcl.eval import (
     progression_targets,
     r_squared,
     retrieve_frames,
-    similarity_matrix,
     write_pgm,
 )
+from seqcl.loss import cosine_similarities
 
 
 # --- embedding ---
@@ -218,18 +218,20 @@ def test_retrieve_agrees_with_ap_at_k():
 # --- similarity matrix / DTW ---
 
 
-def test_similarity_normalize_rules():
+def test_similarity_normalize_rules(tmp_path):
     rng = np.random.default_rng(10)
     a, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
-    m = similarity_matrix(a, b, normalize=True)
-    assert m.min() == 0.0 and m.max() == 1.0
-    const = similarity_matrix(np.ones((3, 2)), np.ones((3, 2)), normalize=True)
-    assert not const.any()
+    p = tmp_path / "heat.pgm"
+    write_pgm(cosine_similarities(a, b), p)
+    gray = np.frombuffer(p.read_bytes()[len(b"P5\n5 4\n255\n"):], dtype=np.uint8)
+    assert gray.min() == 0 and gray.max() == 255
+    write_pgm(cosine_similarities(np.ones((3, 2)), np.ones((3, 2))), p)
+    assert p.read_bytes() == b"P5\n3 3\n255\n" + bytes(9)
 
 
 def test_dtw_identical_sequences_diagonal():
     emb = np.eye(5)
-    path, cost = dtw_align(similarity_matrix(emb, emb))
+    path, cost = dtw_align(cosine_similarities(emb, emb))
     assert path == [(i, i) for i in range(5)]
     assert cost == pytest.approx(0.0, abs=1e-12)
 
@@ -353,8 +355,8 @@ def test_metrics_invariant_to_row_rescaling():
     scale1 = rng.uniform(0.1, 10, (6, 1))
     scale2 = rng.uniform(0.1, 10, (7, 1))
     assert abs(kendalls_tau(e1, e2) - kendalls_tau(e1 * scale1, e2 * scale2)) < 1e-9
-    m1 = similarity_matrix(e1, e2)
-    m2 = similarity_matrix(e1 * scale1, e2 * scale2)
+    m1 = cosine_similarities(e1, e2)
+    m2 = cosine_similarities(e1 * scale1, e2 * scale2)
     assert np.abs(m1 - m2).max() < 1e-9
     labels = rng.integers(0, 2, 7)
     assert ap_at_k(e1[0], 1, e2, labels, 3) == ap_at_k(e1[0] * 5, 1, e2 * scale2, labels, 3)
@@ -429,7 +431,7 @@ def test_zero_norm_row_is_numeric_error():
     zero = np.zeros((2, 3))
     zero[0, 0] = 1.0
     with pytest.raises(NumericError):
-        similarity_matrix(zero, np.ones((2, 3)))
+        cosine_similarities(zero, np.ones((2, 3)))
     with pytest.raises(NumericError):
         kendalls_tau(zero, np.ones((2, 3)))
     with pytest.raises(NumericError):
