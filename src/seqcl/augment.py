@@ -48,7 +48,6 @@ class AugmentConfig:
 class AugmentedView:
     features: np.ndarray  # (T, D)
     timestamps: np.ndarray  # (T,) raw-video frame indices, strictly increasing
-    view_index: int
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps)
@@ -60,14 +59,12 @@ class AugmentedView:
 class ViewPair:
     view1: AugmentedView
     view2: AugmentedView
-    source_id: str
 
 
 def pad_if_short(record: VideoRecord, T: int) -> VideoRecord:
     """Append zero-feature frames until the video has at least T frames.
 
-    Padding frames repeat the last real frame's label so probes never see a
-    phantom class; real_frames marks where the padding starts.
+    Padding frames repeat the last real frame's label.
     """
     s = record.num_frames
     if s >= T:
@@ -81,7 +78,6 @@ def pad_if_short(record: VideoRecord, T: int) -> VideoRecord:
         features=np.concatenate([record.features, pad]),
         phase_labels=labels,
         action_label=record.action_label,
-        real_frames=s,
     )
 
 
@@ -170,8 +166,8 @@ def build_view_pair(
     record = pad_if_short(record, cfg.T)
     w1, w2 = crop_pair(record.num_frames, cfg, rng)
     views = []
-    for idx, w in ((1, w1), (2, w2)):
+    for w in (w1, w2):
         ts = sample_frames(w, cfg.T, cfg.sampling, rng)
-        view = AugmentedView(features=record.features[ts], timestamps=ts, view_index=idx)
+        view = AugmentedView(features=record.features[ts], timestamps=ts)
         views.append(feature_jitter(view, cfg, rng))
-    return ViewPair(view1=views[0], view2=views[1], source_id=record.id)
+    return ViewPair(view1=views[0], view2=views[1])

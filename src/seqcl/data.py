@@ -29,8 +29,6 @@ class VideoRecord:
     features: np.ndarray  # (S, D) float32
     phase_labels: list[int] | None = None
     action_label: int | None = None
-    # number of leading real (non-padding) frames; None means all frames are real
-    real_frames: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
@@ -133,9 +131,8 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplit:
             start, stop = bounds[ph], bounds[ph + 1]
             seg = stop - start
             nxt = protos[min(ph + 1, p - 1)]
-            for k in range(seg):
-                u = k / seg
-                feats[start + k] = (1.0 - u) * protos[ph] + u * nxt
+            u = (np.arange(seg) / seg)[:, None]
+            feats[start:stop] = (1.0 - u) * protos[ph] + u * nxt
             labels[start:stop] = ph
         if spec.noise_std > 0:
             feats += rng.normal(0.0, spec.noise_std, size=feats.shape)
@@ -212,7 +209,12 @@ def load_features(path: str | Path) -> VideoRecord:
     sidecar_path = path.with_suffix(".json")
     rec_id, labels, action = path.stem, None, None
     if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
+        try:
+            meta = json.loads(sidecar_path.read_text())
+        except ValueError as exc:
+            raise FormatError(f"{sidecar_path}: malformed sidecar JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{sidecar_path}: sidecar JSON is not an object")
         rec_id = meta.get("id", rec_id)
         labels = meta.get("phase_labels")
         action = meta.get("action_label")
@@ -243,12 +245,15 @@ def load_dataset(data_dir: str | Path) -> DatasetSplit:
     manifest_path = data_dir / "dataset.json"
     if not manifest_path.exists():
         raise FormatError(f"{manifest_path}: manifest not found")
-    manifest = json.loads(manifest_path.read_text())
-    train = [load_features(data_dir / f"{rid}.fseq") for rid in manifest["train"]]
-    test = [load_features(data_dir / f"{rid}.fseq") for rid in manifest["test"]]
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        train_ids, test_ids = list(manifest["train"]), list(manifest["test"])
+        num_phases, feature_dim = int(manifest["num_phases"]), int(manifest["feature_dim"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     return DatasetSplit(
-        train=train,
-        test=test,
-        num_phases=int(manifest["num_phases"]),
-        feature_dim=int(manifest["feature_dim"]),
+        train=[load_features(data_dir / f"{rid}.fseq") for rid in train_ids],
+        test=[load_features(data_dir / f"{rid}.fseq") for rid in test_ids],
+        num_phases=num_phases,
+        feature_dim=feature_dim,
     )

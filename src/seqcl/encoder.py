@@ -12,6 +12,7 @@ of a view (batch statistics while training, running statistics at eval).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, SeqclError
+from .loss import softmax
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
@@ -189,10 +191,7 @@ def _attn_forward(x, p, prefix, num_heads):
         _affine(x, p, f"{prefix}.{name}").reshape(T, num_heads, hd).transpose(1, 0, 2)
         for name in "qkv"
     )
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
-    scores -= scores.max(axis=2, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=2, keepdims=True)
+    attn = softmax(qh @ kh.transpose(0, 2, 1) / np.sqrt(hd))
     ctx = (attn @ vh).transpose(1, 0, 2).reshape(T, m)
     cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx}
     return _affine(ctx, p, f"{prefix}.o"), cache
@@ -336,51 +335,84 @@ def save_checkpoint(
             _write_tensor(f, f"extra.{name}", extra[name])
 
 
+def _checkpoint_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Record name and shape of every tensor and buffer an encoder checkpoint
+    holds; extras are outside the schema."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, (fan_in, fan_out) in _affine_shapes(cfg).items():
+        shapes[f"{name}.W"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+    for name in _norm_names(cfg):
+        shapes[f"{name}.gamma"] = shapes[f"{name}.beta"] = (cfg.model_dim,)
+    for name in ("proj.bn1", "proj.bn2"):
+        shapes[f"buffer.{name}.mean"] = shapes[f"buffer.{name}.var"] = (cfg.model_dim,)
+    return shapes
+
+
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[EncoderConfig, EncoderParams, dict[str, np.ndarray]]:
+    """Read a checkpoint written by `save_checkpoint`. Every read is bounds
+    checked, and the tensors and buffers must match the schema of the stored
+    config exactly; any violation is a FormatError."""
     path = Path(path)
     blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != CKPT_MAGIC:
+    off = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal off
+        if off + size > len(blob):
+            raise FormatError(f"{path}: truncated {what} at byte {off}")
+        off += size
+        return blob[off - size : off]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    if take(4, "magic") != CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", blob[4:8])
+    version = u32("version")
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", blob[8:12])
-    off = 12
-    if off + cfg_len > len(blob):
-        raise FormatError(f"{path}: truncated config blob")
+    cfg_blob = take(u32("config length"), "config blob")
     try:
-        fields = json.loads(blob[off : off + cfg_len].decode("utf-8"))
+        fields = json.loads(cfg_blob.decode("utf-8"))
         # checkpoints from before dropout was removed carry "dropout": 0.0
         dropout = fields.pop("dropout", 0.0)
         cfg = EncoderConfig(**fields)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid config blob: {exc}") from exc
     if dropout != 0.0:
         raise FormatError(f"{path}: dropout={dropout!r} is not supported")
-    off += cfg_len
+
+    expected = _checkpoint_shapes(cfg)
+    records: dict[str, np.ndarray] = {}
+    while off < len(blob):
+        raw_name = take(u32("tensor name length"), "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name {raw_name!r} is not UTF-8") from exc
+        rank = u32(f"rank of {name!r}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+        if name in records:
+            raise FormatError(f"{path}: duplicate tensor {name!r}")
+        if not name.startswith("extra."):
+            if name not in expected:
+                raise FormatError(f"{path}: unknown tensor {name!r}")
+            if dims != expected[name]:
+                raise FormatError(
+                    f"{path}: tensor {name!r} has shape {dims}, expected {expected[name]}"
+                )
+        payload = take(4 * math.prod(dims), f"payload of {name!r}")
+        records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+    missing = sorted(expected.keys() - records.keys())
+    if missing:
+        raise FormatError(f"{path}: missing tensors {missing}")
 
     tensors: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
     extra: dict[str, np.ndarray] = {}
-    while off < len(blob):
-        if off + 4 > len(blob):
-            raise FormatError(f"{path}: truncated tensor record at byte {off}")
-        (name_len,) = struct.unpack("<I", blob[off : off + 4])
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack("<I", blob[off : off + 4])
-        off += 4
-        dims = struct.unpack(f"<{rank}I", blob[off : off + 4 * rank])
-        off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        end = off + 4 * count
-        if end > len(blob):
-            raise FormatError(f"{path}: tensor {name!r} payload truncated")
-        arr = np.frombuffer(blob[off:end], dtype="<f4").reshape(dims).astype(np.float64)
-        off = end
+    for name, arr in records.items():
         if name.startswith("buffer."):
             buffers[name[len("buffer."):]] = arr
         elif name.startswith("extra."):

@@ -14,7 +14,7 @@ import numpy as np
 from . import encoder as enc
 from .data import DatasetSplit, VideoRecord
 from .errors import ConfigError, NumericError
-from .loss import cosine_similarities
+from .loss import cosine_similarities, softmax, unit_rows
 
 
 @dataclass
@@ -58,21 +58,25 @@ def embed_dataset(
     out = []
     for rec in records:
         emb, _ = enc.forward(params, cfg, rec.features, train=False)
-        norms = np.linalg.norm(emb.H, axis=1, keepdims=True)
-        bad = np.flatnonzero(norms == 0)
-        if bad.size:
-            raise NumericError(f"video {rec.id!r}: embedding row {bad[0]} has zero norm")
-        out.append(emb.H / norms)
+        out.append(unit_rows(emb.H, f"video {rec.id!r}: embedding")[0])
     return out
 
 
 # --- linear probes ---
 
 
-def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _fit_linear(X, Y, probe, link=lambda logits: logits):
+    """Full-batch gradient descent from zero on a linear model X @ W + b whose
+    loss has gradient (link(X @ W + b) - Y) / n wrt its outputs: softmax
+    cross-entropy under `softmax`, half mean squared error under identity."""
+    n, d = X.shape
+    W = np.zeros((d, Y.shape[1]))
+    b = np.zeros(Y.shape[1])
+    for _ in range(probe.steps):
+        err = (link(X @ W + b) - Y) / n
+        W -= probe.lr * (X.T @ err)
+        b -= probe.lr * err.sum(axis=0)
+    return W, b
 
 
 def linear_probe_classification(
@@ -87,16 +91,8 @@ def linear_probe_classification(
     classes = np.unique(train_y)
     if classes.size < 2:
         raise ConfigError("probe training data contains a single class")
-    num_classes = int(classes.max()) + 1
-    n, d = train_X.shape
-    W = np.zeros((d, num_classes))
-    b = np.zeros(num_classes)
-    onehot = np.eye(num_classes)[train_y]
-    for _ in range(probe.steps):
-        p = _softmax_rows(train_X @ W + b)
-        err = (p - onehot) / n
-        W -= probe.lr * (train_X.T @ err)
-        b -= probe.lr * err.sum(axis=0)
+    onehot = np.eye(int(classes.max()) + 1)[train_y]
+    W, b = _fit_linear(train_X, onehot, probe, softmax)
     pred = (test_X @ W + b).argmax(axis=1)
     return float((pred == test_y).mean())
 
@@ -142,14 +138,7 @@ def linear_probe_progression(
 ) -> float:
     """Linear least-squares regressor fit by gradient descent; average R^2
     over target components on the test frames."""
-    n, d = train_X.shape
-    k = train_Y.shape[1]
-    W = np.zeros((d, k))
-    b = np.zeros(k)
-    for _ in range(probe.steps):
-        err = (train_X @ W + b - train_Y) / n
-        W -= probe.lr * (train_X.T @ err)
-        b -= probe.lr * err.sum(axis=0)
+    W, b = _fit_linear(train_X, train_Y, probe)
     return r_squared(test_X @ W + b, test_Y)
 
 
@@ -279,13 +268,9 @@ def dtw_align(sim: np.ndarray) -> tuple[list[tuple[int, int]], float]:
 
 
 def _pool_frames(records, embs, num_phases):
-    X, y, Yprog = [], [], []
-    for rec, emb in zip(records, embs):
-        real = rec.real_frames if rec.real_frames is not None else rec.num_frames
-        X.append(emb[:real])
-        y.append(np.asarray(rec.phase_labels[:real]))
-        Yprog.append(progression_targets(rec, num_phases)[:real])
-    return np.concatenate(X), np.concatenate(y), np.concatenate(Yprog)
+    labels = [np.asarray(rec.phase_labels) for rec in records]
+    progress = [progression_targets(rec, num_phases) for rec in records]
+    return np.concatenate(embs), np.concatenate(labels), np.concatenate(progress)
 
 
 def _same_action(a: VideoRecord, b: VideoRecord) -> bool:

@@ -1,4 +1,6 @@
 import copy
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -55,3 +57,13 @@ def max_rel_err(analytic, numeric, floor=1e-6, noise_atol=1e-8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def rewrite_config_blob(path, **fields):
+    """Rewrite a checkpoint's JSON config blob with extra fields set."""
+    blob = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    cfg = json.loads(blob[12 : 12 + cfg_len])
+    cfg.update(fields)
+    new = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + cfg_len :])

@@ -31,7 +31,6 @@ def test_pad_appends_zero_frames_with_last_label():
     rec = make_record(100)
     padded = pad_if_short(rec, 240)
     assert padded.num_frames == 240
-    assert padded.real_frames == 100
     assert np.array_equal(padded.features[:100], rec.features)
     assert not padded.features[100:].any()
     assert padded.phase_labels[100:] == [rec.phase_labels[-1]] * 140
@@ -115,7 +114,7 @@ def test_sample_inclusion_probability():
 
 
 def _view(t=8, d=6):
-    return AugmentedView(features=np.ones((t, d)), timestamps=np.arange(t), view_index=1)
+    return AugmentedView(features=np.ones((t, d)), timestamps=np.arange(t))
 
 
 def test_jitter_identity_when_disabled():
@@ -135,7 +134,7 @@ def test_jitter_dropout_fraction():
     zeroed = 0
     trials, d = 10000, 20
     for _ in range(trials):
-        out = feature_jitter(AugmentedView(np.ones((4, d)), np.arange(4), 1), cfg, rng)
+        out = feature_jitter(AugmentedView(np.ones((4, d)), np.arange(4)), cfg, rng)
         dead = (out.features == 0).all(axis=0)
         assert ((out.features == 0).all(axis=0) | (out.features == 1).all(axis=0)).all()
         zeroed += dead.sum()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import rewrite_config_blob
 from seqcl.cli import main
 
 TINY = {
@@ -98,3 +99,48 @@ def test_repeat_runs_byte_identical(workspace):
             ((tmp / "encoder.ckpt").read_bytes(), (tmp / "report.json").read_bytes())
         )
     assert artifacts[0] == artifacts[1]
+
+
+def test_invalid_config_in_checkpoint_exit_code(workspace, capsys):
+    tmp, cfg_path, _ = workspace
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path)])
+    rewrite_config_blob(tmp / "encoder.ckpt", model_dim=15)
+    assert main(["eval", "--config", str(cfg_path)]) == 4
+    assert "invalid config blob" in capsys.readouterr().err
+
+
+def _manifest_without(key):
+    def corrupt(data_dir):
+        path = data_dir / "dataset.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        return path
+    return corrupt
+
+
+def _bad_manifest_json(data_dir):
+    path = data_dir / "dataset.json"
+    path.write_text('{"train": [')
+    return path
+
+
+def _bad_sidecar_json(data_dir):
+    first = json.loads((data_dir / "dataset.json").read_text())["train"][0]
+    path = data_dir / f"{first}.json"
+    path.write_text('{"id": ')
+    return path
+
+
+@pytest.mark.parametrize("corrupt", [
+    _bad_manifest_json, *(_manifest_without(k) for k in ("train", "test", "num_phases", "feature_dim")),
+    _bad_sidecar_json,
+], ids=["manifest-json", "no-train", "no-test", "no-num_phases", "no-feature_dim", "sidecar-json"])
+def test_malformed_dataset_exit_code(workspace, capsys, corrupt):
+    tmp, cfg_path, _ = workspace
+    main(["gen-data", "--config", str(cfg_path)])
+    bad = corrupt(tmp / "data")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 4
+    assert str(bad) in capsys.readouterr().err

@@ -37,6 +37,25 @@ def test_single_phase_zero_noise_is_constant():
         assert np.allclose(rec.features, rec.features[0])
 
 
+def test_generate_matches_per_frame_reference():
+    # the per-frame loop that generate_synthetic vectorizes; the prototypes are
+    # the first draw of the spec's rng
+    spec = SyntheticSpec(num_videos=6, num_phases=4, feature_dim=5, min_len=8, max_len=30,
+                         noise_std=0.0, seed=3)
+    protos = np.random.default_rng(spec.seed).standard_normal((4, 5))
+    split = generate_synthetic(spec)
+    for rec in split.train + split.test:
+        labels = np.asarray(rec.phase_labels)
+        expected = np.empty((rec.num_frames, 5))
+        for ph in range(4):
+            idx = np.flatnonzero(labels == ph)
+            seg, nxt = idx.size, protos[min(ph + 1, 3)]
+            for k in range(seg):
+                u = k / seg
+                expected[idx[0] + k] = (1.0 - u) * protos[ph] + u * nxt
+        assert rec.features.tobytes() == expected.astype(np.float32).tobytes()
+
+
 def test_labels_nondecreasing_with_all_phases():
     spec = SyntheticSpec(num_videos=50, num_phases=5, feature_dim=32, min_len=40,
                          max_len=80, noise_std=0.1, seed=3)

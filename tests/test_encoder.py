@@ -1,13 +1,10 @@
 
-import json
-import struct
-
 import numpy as np
 import pytest
 
-from conftest import fd_param_grads, max_rel_err, tiny_encoder_cfg
+from conftest import fd_param_grads, max_rel_err, rewrite_config_blob, tiny_encoder_cfg
 from seqcl import encoder as enc
-from seqcl.errors import ConfigError, SeqclError
+from seqcl.errors import ConfigError, FormatError, SeqclError
 
 
 def test_config_validation():
@@ -215,7 +212,6 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_corruption_rejected(tmp_path):
-    from seqcl.errors import FormatError
     cfg = tiny_encoder_cfg()
     p = tmp_path / "model.ckpt"
     enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
@@ -228,14 +224,32 @@ def test_checkpoint_corruption_rejected(tmp_path):
         enc.load_checkpoint(p)
 
 
-def _rewrite_config_blob(path, **fields):
-    """Rewrite a checkpoint's JSON config blob with extra fields set."""
-    blob = path.read_bytes()
-    (cfg_len,) = struct.unpack("<I", blob[8:12])
-    cfg = json.loads(blob[12 : 12 + cfg_len])
-    cfg.update(fields)
-    new = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + cfg_len :])
+def test_checkpoint_every_truncation_rejected(tmp_path):
+    cfg = tiny_encoder_cfg(D=2, model_dim=2, num_heads=1, ffn_dim=2, out_dim=2,
+                           proj_hidden=2, proj_out=2)
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
+    blob = p.read_bytes()
+    for cut in range(len(blob)):
+        p.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            enc.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda prm: prm.tensors.update({"layer9.ln1.gamma": np.ones(16)}), "unknown tensor"),
+    (lambda prm: prm.buffers.update({"proj.bn3.mean": np.zeros(16)}), "unknown tensor"),
+    (lambda prm: prm.tensors.update({"out.b": np.zeros(3)}), "has shape"),
+    (lambda prm: prm.buffers.pop("proj.bn2.var"), "missing tensors"),
+], ids=["tensor", "buffer", "shape", "missing"])
+def test_checkpoint_schema_enforced(tmp_path, tamper, message):
+    cfg = tiny_encoder_cfg()
+    params = enc.init_params(cfg, 0)
+    tamper(params)
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, params, extra={"anything.goes": np.zeros(2)})
+    with pytest.raises(FormatError, match=message):
+        enc.load_checkpoint(p)
 
 
 def test_checkpoint_with_legacy_zero_dropout_loads(tmp_path):
@@ -244,7 +258,7 @@ def test_checkpoint_with_legacy_zero_dropout_loads(tmp_path):
     p = tmp_path / "model.ckpt"
     enc.save_checkpoint(p, cfg, params)
     _, expected, _ = enc.load_checkpoint(p)
-    _rewrite_config_blob(p, dropout=0.0)
+    rewrite_config_blob(p, dropout=0.0)
     cfg2, params2, _ = enc.load_checkpoint(p)
     assert cfg2 == cfg
     for name in expected.tensors:
@@ -254,10 +268,9 @@ def test_checkpoint_with_legacy_zero_dropout_loads(tmp_path):
 
 
 def test_checkpoint_with_nonzero_dropout_rejected(tmp_path):
-    from seqcl.errors import FormatError
     cfg = tiny_encoder_cfg()
     p = tmp_path / "model.ckpt"
     enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
-    _rewrite_config_blob(p, dropout=0.5)
+    rewrite_config_blob(p, dropout=0.5)
     with pytest.raises(FormatError):
         enc.load_checkpoint(p)

@@ -173,6 +173,9 @@ def test_baseline_nonnegative_and_empty_rejected():
     assert loss >= 0
     with pytest.raises(NumericError):
         baseline_contrastive_loss(z1, z2, [], 0.5)
+    for pairs in ([(0, 0), (0, 3)], [(0, 3), (2, 3)]):
+        with pytest.raises(ConfigError, match="one-to-one"):
+            baseline_contrastive_loss(z1, z2, pairs, 0.5)
 
 
 def test_baseline_gradients_match_finite_differences():
