@@ -117,16 +117,16 @@ def cmd_eval(cfg: RunConfig, args) -> None:
     print(report.to_json(), end="")
 
 
-def _load_embeddings(cfg: RunConfig):
+def _load_embeddings(cfg: RunConfig) -> dict:
     split = data_mod.load_dataset(_require(Path(cfg.data_dir), "data dir"))
     enc_cfg, params, _ = load_checkpoint(_require(Path(cfg.checkpoint), "checkpoint"))
     records = split.train + split.test
     embs = eval_mod.embed_dataset(params, enc_cfg, records)
-    return records, {r.id: e for r, e in zip(records, embs)}
+    return {r.id: e for r, e in zip(records, embs)}
 
 
 def cmd_align(cfg: RunConfig, args) -> None:
-    _, embs = _load_embeddings(cfg)
+    embs = _load_embeddings(cfg)
     for vid in (args.video_a, args.video_b):
         if vid not in embs:
             raise FileNotFoundError(f"video id not in dataset: {vid}")
@@ -139,7 +139,7 @@ def cmd_align(cfg: RunConfig, args) -> None:
 
 
 def cmd_retrieve(cfg: RunConfig, args) -> None:
-    _, embs = _load_embeddings(cfg)
+    embs = _load_embeddings(cfg)
     if args.video not in embs:
         raise FileNotFoundError(f"video id not in dataset: {args.video}")
     query = embs[args.video]

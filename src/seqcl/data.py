@@ -187,6 +187,10 @@ def save_features(record: VideoRecord, path: str | Path) -> None:
     path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not a label
+
+
 def load_features(path: str | Path) -> VideoRecord:
     path = Path(path)
     blob = path.read_bytes()
@@ -218,10 +222,16 @@ def load_features(path: str | Path) -> VideoRecord:
         rec_id = meta.get("id", rec_id)
         labels = meta.get("phase_labels")
         action = meta.get("action_label")
+        if not isinstance(rec_id, str):
+            raise FormatError(f"{sidecar_path}: id must be a string, got {rec_id!r}")
+        if labels is not None and not (isinstance(labels, list) and all(map(_is_int, labels))):
+            raise FormatError(f"{sidecar_path}: phase_labels must be null or a list of ints")
         if labels is not None and len(labels) != s:
             raise FormatError(
                 f"{sidecar_path}: phase_labels has {len(labels)} entries for S={s}"
             )
+        if action is not None and not _is_int(action):
+            raise FormatError(f"{sidecar_path}: action_label must be null or an int: {action!r}")
     return VideoRecord(id=rec_id, features=feats, phase_labels=labels, action_label=action)
 
 

@@ -221,7 +221,6 @@ def forward(
     x: np.ndarray,
     *,
     train: bool = False,
-    pos_encoding: np.ndarray | None = None,
 ) -> tuple[EmbeddingSequence, dict]:
     """Encode one view (T x input_dim) into (H, Z); returns cache for backward."""
     x = np.asarray(x, dtype=np.float64)
@@ -236,8 +235,7 @@ def forward(
     bn2, cache["bn2"] = _batch_norm(_affine(a1, p, "proj.fc2"), params, "proj.bn2", train)
     cache["a1"], cache["bn1_out"], cache["bn2_out"] = a1, bn1, bn2
 
-    pe = positional_encoding(T, cfg.model_dim) if pos_encoding is None else pos_encoding
-    h = np.maximum(bn2, 0.0) + pe
+    h = np.maximum(bn2, 0.0) + positional_encoding(T, cfg.model_dim)
 
     for i in range(cfg.num_layers):
         lc: dict = {}
@@ -265,12 +263,9 @@ def backward(
     cfg: EncoderConfig,
     cache: dict,
     grad_Z: np.ndarray,
-    grad_H: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of the loss wrt every learnable tensor.
-
-    grad_Z (and optionally grad_H) are the upstream gradients on the latent
-    embeddings and representations produced by the matching forward call.
+    """Exact gradients of the loss wrt every learnable tensor, given the
+    upstream gradient on the latent embeddings Z of the matching forward call.
     """
     if "trunk" not in cache:
         raise SeqclError("backward needs the cache returned by forward")
@@ -279,8 +274,6 @@ def backward(
 
     dga = _affine_backward(grad_Z, cache["ga"], p, "head.fc2", grads)
     dH = _affine_backward(dga * (cache["g1"] > 0), cache["H"], p, "head.fc1", grads)
-    if grad_H is not None:
-        dH = dH + grad_H
     dh = _affine_backward(dH, cache["trunk"], p, "out", grads)
 
     for i in reversed(range(cfg.num_layers)):

@@ -25,20 +25,25 @@ class ProbeConfig:
 
 @dataclass
 class EvalReport:
+    """Metric values; tau and AP@K are None when there was nothing to average."""
+
     classification_acc: float
     progression_r2: float
-    kendalls_tau: float
-    ap_at_k: dict[int, float]
+    kendalls_tau: float | None
+    ap_at_k: dict[int, float | None]
 
     def __post_init__(self):
         if not 0 <= self.classification_acc <= 1:
             raise NumericError(f"accuracy out of range: {self.classification_acc}")
         if self.progression_r2 > 1 + 1e-9:
             raise NumericError(f"R^2 above 1: {self.progression_r2}")
-        if not -1 - 1e-9 <= self.kendalls_tau <= 1 + 1e-9:
-            raise NumericError(f"tau out of range: {self.kendalls_tau}")
+        tau = self.kendalls_tau
+        if tau is not None and not -1 - 1e-9 <= tau <= 1 + 1e-9:
+            raise NumericError(f"tau out of range: {tau}")
         for k, v in self.ap_at_k.items():
-            if not 0 <= v <= 1:
+            if k < 1:
+                raise ConfigError(f"K must be >= 1, got {k}")
+            if v is not None and not 0 <= v <= 1:
                 raise NumericError(f"AP@{k} out of range: {v}")
 
     def to_json(self) -> str:
@@ -184,15 +189,22 @@ def _top_k(scores: np.ndarray, K: int) -> np.ndarray:
 
 
 def ap_at_k(
-    query_emb: np.ndarray,
-    query_label: int,
+    query_embs: np.ndarray,
+    query_labels: np.ndarray | int,
     candidate_embs: np.ndarray,
     candidate_labels: np.ndarray,
-    K: int,
-) -> float:
-    """Fraction of the K nearest candidate frames sharing the query's label."""
-    top = _top_k(cosine_similarities(query_emb[None, :], candidate_embs), K)[0]
-    return float((np.asarray(candidate_labels)[top] == query_label).mean())
+    Ks: tuple[int, ...],
+) -> dict[int, np.ndarray]:
+    """For each K, the fraction of each query frame's K nearest candidate
+    frames that share its label. Queries are (Q, d) with Q labels, or one (d,)
+    frame with one label; one ranking per query frame serves every K."""
+    if not Ks:
+        return {}
+    if min(Ks) < 1:
+        raise ConfigError(f"K must be >= 1, got {min(Ks)}")
+    top = _top_k(cosine_similarities(np.atleast_2d(query_embs), candidate_embs), max(Ks))
+    hits = np.asarray(candidate_labels)[top] == np.reshape(query_labels, (-1, 1))
+    return {K: hits[:, :K].mean(axis=1) for K in Ks}
 
 
 def retrieve_frames(
@@ -273,10 +285,6 @@ def _pool_frames(records, embs, num_phases):
     return np.concatenate(embs), np.concatenate(labels), np.concatenate(progress)
 
 
-def _same_action(a: VideoRecord, b: VideoRecord) -> bool:
-    return a.action_label == b.action_label
-
-
 def evaluate(
     params: enc.EncoderParams,
     cfg: enc.EncoderConfig,
@@ -284,7 +292,8 @@ def evaluate(
     probe: ProbeConfig = ProbeConfig(),
     Ks: tuple[int, ...] = (5, 10, 15),
 ) -> EvalReport:
-    """All four metrics on a dataset split with frozen encoder parameters."""
+    """All four metrics on a dataset split with frozen encoder parameters.
+    tau and AP@K are None when no two test videos share an action label."""
     train_embs = embed_dataset(params, cfg, dataset.train)
     test_embs = embed_dataset(params, cfg, dataset.test)
     train_X, train_y, train_Y = _pool_frames(dataset.train, train_embs, dataset.num_phases)
@@ -293,31 +302,21 @@ def evaluate(
     acc = linear_probe_classification(train_X, train_y, test_X, test_y, probe)
     r2 = linear_probe_progression(train_X, train_Y, test_X, test_Y, probe)
 
-    taus = []
-    for i, (rec_i, emb_i) in enumerate(zip(dataset.test, test_embs)):
-        for j, (rec_j, emb_j) in enumerate(zip(dataset.test, test_embs)):
-            if i != j and _same_action(rec_i, rec_j):
-                taus.append(kendalls_tau(emb_i, emb_j))
-    tau = float(np.mean(taus)) if taus else float("nan")
-
-    # Every frame of a test video queries the frames of the other test videos
-    # of its action; one ranking per frame serves every K.
-    for K in Ks:
-        if K < 1:
-            raise ConfigError(f"K must be >= 1, got {K}")
-    ap_frames: dict[int, list[np.ndarray]] = {K: [] for K in Ks}
-    for i, rec in enumerate(dataset.test):
-        pool = [j for j, other in enumerate(dataset.test) if j != i and _same_action(rec, other)]
-        if not pool or not Ks:
+    # Each test video is compared with the other test videos of its action:
+    # tau against each of them, AP@K with every frame querying all their frames.
+    taus, ap_frames = [], []
+    for i, (rec, emb) in enumerate(zip(dataset.test, test_embs)):
+        pool = [j for j, other in enumerate(dataset.test)
+                if j != i and other.action_label == rec.action_label]
+        if not pool:
             continue
+        taus.extend(kendalls_tau(emb, test_embs[j]) for j in pool)
         cands = np.concatenate([test_embs[j] for j in pool])
-        labels = np.concatenate([np.asarray(dataset.test[j].phase_labels) for j in pool])
-        top = _top_k(cosine_similarities(test_embs[i], cands), max(Ks))
-        hits = labels[top] == np.asarray(rec.phase_labels)[:, None]
-        for K in Ks:
-            ap_frames[K].append(hits[:, :K].mean(axis=1))
-    ap = {K: float(np.mean(np.concatenate(v))) if v else float("nan")
-          for K, v in ap_frames.items()}
+        labels = np.concatenate([dataset.test[j].phase_labels for j in pool])
+        ap_frames.append(ap_at_k(emb, rec.phase_labels, cands, labels, Ks))
+    tau = float(np.mean(taus)) if taus else None
+    ap = {K: float(np.mean(np.concatenate([f[K] for f in ap_frames]))) if ap_frames else None
+          for K in Ks}
 
     return EvalReport(
         classification_acc=acc, progression_r2=r2, kendalls_tau=tau, ap_at_k=ap

@@ -12,7 +12,7 @@ import numpy as np
 from . import encoder as enc
 from .augment import AugmentConfig, build_view_pair
 from .data import DatasetSplit
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .loss import SCLConfig, baseline_contrastive_loss, scl_loss, timestamp_correspondence
 
 # The training rng is np.random.default_rng([seed, TRAIN_STREAM]): a sub-stream
@@ -157,15 +157,24 @@ def save_train_checkpoint(path, enc_cfg, state: TrainState) -> None:
 
 
 def load_train_checkpoint(path) -> tuple[enc.EncoderConfig, TrainState]:
+    """Encoder checkpoint plus the full Adam state: both moments of every
+    tensor, in its shape, and the step and epoch counters. A checkpoint that
+    lacks any of them is a FormatError."""
     cfg, params, extra = enc.load_checkpoint(path)
-    state = TrainState.fresh(params)
-    for name, arr in extra.items():
-        if name.startswith("adam.m."):
-            state.m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            state.v[name[len("adam.v."):]] = arr
-    state.step = int(extra.get("adam.step", [0])[0])
-    state.epoch = int(extra.get("adam.epoch", [0])[0])
+    shapes = {f"adam.{kind}.{k}": t.shape for kind in "mv" for k, t in params.tensors.items()}
+    shapes.update({"adam.step": (1,), "adam.epoch": (1,)})
+    for name, shape in shapes.items():
+        if name not in extra:
+            raise FormatError(f"{path}: training checkpoint lacks {name!r}")
+        if extra[name].shape != shape:
+            raise FormatError(f"{path}: {name!r} has shape {extra[name].shape}, expected {shape}")
+    state = TrainState(
+        params=params,
+        m={k: extra[f"adam.m.{k}"] for k in params.tensors},
+        v={k: extra[f"adam.v.{k}"] for k in params.tensors},
+        step=int(extra["adam.step"][0]),
+        epoch=int(extra["adam.epoch"][0]),
+    )
     return cfg, state
 
 

@@ -131,7 +131,7 @@ def test_criterion_3_oracle_equivalence():
         scores = (cands / np.linalg.norm(cands, axis=1, keepdims=True)) @ (q / np.linalg.norm(q))
         top = sorted(range(n), key=lambda i: (-scores[i], i))[:K]
         expected = sum(labels[i] == 1 for i in top) / K
-        assert ap_at_k(q, 1, cands, labels, K) == expected
+        assert ap_at_k(q, 1, cands, labels, (K,))[K][0] == expected
     report(3, "DTW / tau / AP@K match brute-force oracles exactly")
 
 

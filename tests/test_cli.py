@@ -133,10 +133,33 @@ def _bad_sidecar_json(data_dir):
     return path
 
 
+def _sidecar_with(key, make):
+    """Set one field of the first train video's sidecar to make(sidecar)."""
+    def corrupt(data_dir):
+        first = json.loads((data_dir / "dataset.json").read_text())["train"][0]
+        path = data_dir / f"{first}.json"
+        meta = json.loads(path.read_text())
+        meta[key] = make(meta)
+        path.write_text(json.dumps(meta))
+        return path
+    return corrupt
+
+
+SIDECAR_FIELDS = {
+    "labels-int": ("phase_labels", lambda meta: 5),
+    "labels-str": ("phase_labels", lambda meta: "x" * len(meta["phase_labels"])),
+    "labels-null-entry": ("phase_labels", lambda meta: [None] + meta["phase_labels"][1:]),
+    "labels-bool-entry": ("phase_labels", lambda meta: [True] + meta["phase_labels"][1:]),
+    "action-list": ("action_label", lambda meta: [1]),
+    "id-int": ("id", lambda meta: 5),
+}
+
+
 @pytest.mark.parametrize("corrupt", [
     _bad_manifest_json, *(_manifest_without(k) for k in ("train", "test", "num_phases", "feature_dim")),
-    _bad_sidecar_json,
-], ids=["manifest-json", "no-train", "no-test", "no-num_phases", "no-feature_dim", "sidecar-json"])
+    _bad_sidecar_json, *(_sidecar_with(*field) for field in SIDECAR_FIELDS.values()),
+], ids=["manifest-json", "no-train", "no-test", "no-num_phases", "no-feature_dim", "sidecar-json",
+        *SIDECAR_FIELDS])
 def test_malformed_dataset_exit_code(workspace, capsys, corrupt):
     tmp, cfg_path, _ = workspace
     main(["gen-data", "--config", str(cfg_path)])

@@ -85,7 +85,7 @@ def test_sequence_length_independence():
     assert a.H.shape == (4, cfg.out_dim) and b.H.shape == (8, cfg.out_dim)
 
 
-def test_permutation_equivariance_with_matched_pe():
+def test_permutation_equivariance_with_matched_pe(monkeypatch):
     cfg = tiny_encoder_cfg(num_layers=2)
     params = enc.init_params(cfg, 4)
     rng = np.random.default_rng(5)
@@ -93,8 +93,9 @@ def test_permutation_equivariance_with_matched_pe():
     x = rng.standard_normal((T, cfg.input_dim))
     pe = enc.positional_encoding(T, cfg.model_dim)
     perm = rng.permutation(T)
-    base, _ = enc.forward(params, cfg, x, pos_encoding=pe)
-    permuted, _ = enc.forward(params, cfg, x[perm], pos_encoding=pe[perm])
+    base, _ = enc.forward(params, cfg, x)
+    monkeypatch.setattr(enc, "positional_encoding", lambda T, model_dim: pe[perm])
+    permuted, _ = enc.forward(params, cfg, x[perm])
     assert np.allclose(permuted.H, base.H[perm], atol=1e-10)
 
 
@@ -175,22 +176,6 @@ def test_gradients_match_finite_differences(seed, train, num_layers):
     emb, cache = enc.forward(params, cfg, x, train=train)
     analytic = enc.backward(params, cfg, cache, w + emb.Z)
     numeric = fd_param_grads(lambda p: loss_of(p), params, h=1e-5)
-    assert max_rel_err(analytic, numeric) < 1e-4
-
-
-def test_grad_H_path():
-    cfg = tiny_encoder_cfg(D=6, model_dim=8, num_heads=2, ffn_dim=12, out_dim=5,
-                           proj_hidden=5, proj_out=4)
-    params = enc.init_params(cfg, 3)
-    x = np.random.default_rng(30).standard_normal((4, 6))
-
-    def loss_of(p):
-        e, _ = enc.forward(p, cfg, x, train=True)
-        return float(0.5 * (e.H**2).sum() + e.Z.sum())
-
-    emb, cache = enc.forward(params, cfg, x, train=True)
-    analytic = enc.backward(params, cfg, cache, np.ones_like(emb.Z), grad_H=emb.H)
-    numeric = fd_param_grads(loss_of, params, h=1e-5)
     assert max_rel_err(analytic, numeric) < 1e-4
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -160,8 +161,8 @@ def test_tau_requires_two_frames():
 def test_ap_extremes():
     q = np.array([1.0, 0.0])
     cands = np.tile(q, (10, 1))
-    assert ap_at_k(q, 1, cands, np.ones(10, dtype=int), 5) == 1.0
-    assert ap_at_k(q, 1, cands, np.zeros(10, dtype=int), 5) == 0.0
+    assert ap_at_k(q, 1, cands, np.ones(10, dtype=int), (5,))[5][0] == 1.0
+    assert ap_at_k(q, 1, cands, np.zeros(10, dtype=int), (5,))[5][0] == 0.0
 
 
 def test_ap_matches_brute_force():
@@ -175,12 +176,33 @@ def test_ap_matches_brute_force():
         scores = cands @ q / (np.linalg.norm(cands, axis=1) * np.linalg.norm(q))
         order = sorted(range(n), key=lambda i: (-scores[i], i))[:K]
         expected = np.mean([labels[i] == 1 for i in order])
-        assert ap_at_k(q, 1, cands, labels, K) == pytest.approx(expected)
+        assert ap_at_k(q, 1, cands, labels, (K,))[K][0] == pytest.approx(expected)
+    # Several query rows and several Ks in one call, half the time against
+    # candidates drawn from a small palette of rows, so that scores tie exactly.
+    palette = rng.standard_normal((3, 4))
+    for _ in range(100):
+        n, rows = int(rng.integers(5, 30)), int(rng.integers(1, 6))
+        Ks = tuple(int(k) for k in rng.choice(np.arange(1, n + 1), size=3, replace=False))
+        if rng.random() < 0.5:
+            cands = palette[rng.integers(0, len(palette), n)]
+        else:
+            cands = rng.standard_normal((n, 4))
+        queries = rng.standard_normal((rows, 4))
+        q_labels, labels = rng.integers(0, 3, rows), rng.integers(0, 3, n)
+        fractions = ap_at_k(queries, q_labels, cands, labels, Ks)
+        assert sorted(fractions) == sorted(Ks)
+        units = cands / np.linalg.norm(cands, axis=1, keepdims=True)
+        for r, (q, label) in enumerate(zip(queries, q_labels)):
+            scores = [float(u @ (q / np.linalg.norm(q))) for u in units]
+            order = sorted(range(n), key=lambda i: (-scores[i], i))
+            for K in Ks:
+                assert fractions[K].shape == (rows,)
+                assert fractions[K][r] == sum(labels[i] == label for i in order[:K]) / K
 
 
 def test_ap_pool_too_small():
     with pytest.raises(ConfigError):
-        ap_at_k(np.ones(3), 0, np.ones((2, 3)), np.zeros(2, dtype=int), 5)
+        ap_at_k(np.ones(3), 0, np.ones((2, 3)), np.zeros(2, dtype=int), (5,))
 
 
 # --- retrieval ---
@@ -212,7 +234,7 @@ def test_retrieve_agrees_with_ap_at_k():
     K = 5
     hits = retrieve_frames(embs["q"][0], embs, "q", K=K)
     frac = np.mean([labels[f] == 1 for _, f, _ in hits])
-    assert ap_at_k(embs["q"][0], 1, embs["c"], labels, K) == pytest.approx(frac)
+    assert ap_at_k(embs["q"][0], 1, embs["c"], labels, (K,))[K][0] == pytest.approx(frac)
 
 
 # --- similarity matrix / DTW ---
@@ -359,7 +381,8 @@ def test_metrics_invariant_to_row_rescaling():
     m2 = cosine_similarities(e1 * scale1, e2 * scale2)
     assert np.abs(m1 - m2).max() < 1e-9
     labels = rng.integers(0, 2, 7)
-    assert ap_at_k(e1[0], 1, e2, labels, 3) == ap_at_k(e1[0] * 5, 1, e2 * scale2, labels, 3)
+    assert (ap_at_k(e1[0], 1, e2, labels, (3,))[3]
+            == ap_at_k(e1[0] * 5, 1, e2 * scale2, labels, (3,))[3])
 
 
 def test_evaluate_full_report_on_zero_noise_synthetic():
@@ -427,6 +450,23 @@ def test_evaluate_k_beyond_pool_is_config_error():
         evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(0, 5))
 
 
+def test_evaluate_reports_null_when_no_action_is_shared():
+    split = generate_synthetic(
+        SyntheticSpec(num_videos=12, num_phases=3, feature_dim=6, min_len=18,
+                      max_len=40, noise_std=0.1, seed=21)
+    )
+    for n, rec in enumerate(split.test):
+        rec.action_label = n
+    cfg = tiny_encoder_cfg(D=6)
+    params = enc.init_params(cfg, 0)
+    report = evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(1, 500))
+    assert report.kendalls_tau is None and report.ap_at_k == {1: None, 500: None}
+    payload = json.loads(report.to_json())
+    assert payload["kendalls_tau"] is None and payload["ap_at_k"] == {"1": None, "500": None}
+    with pytest.raises(ConfigError):  # K is checked even with no pool to rank
+        evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(0, 5))
+
+
 def test_zero_norm_row_is_numeric_error():
     zero = np.zeros((2, 3))
     zero[0, 0] = 1.0
@@ -435,7 +475,7 @@ def test_zero_norm_row_is_numeric_error():
     with pytest.raises(NumericError):
         kendalls_tau(zero, np.ones((2, 3)))
     with pytest.raises(NumericError):
-        ap_at_k(np.ones(3), 0, zero, np.zeros(2, dtype=int), 1)
+        ap_at_k(np.ones(3), 0, zero, np.zeros(2, dtype=int), (1,))
     with pytest.raises(NumericError):
         retrieve_frames(np.ones(3), {"q": np.ones((1, 3)), "c": zero}, "q", K=1)
 

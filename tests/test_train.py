@@ -5,11 +5,12 @@ from conftest import tiny_encoder_cfg
 from seqcl import encoder as enc
 from seqcl.augment import AugmentConfig
 from seqcl.data import SyntheticSpec, generate_synthetic
-from seqcl.errors import ConfigError, NumericError
+from seqcl.errors import ConfigError, FormatError, NumericError
 from seqcl.loss import SCLConfig
 from seqcl.train import (
     OptimConfig,
     TrainState,
+    _moments_as_tensors,
     adam_step,
     cosine_lr,
     fit,
@@ -145,6 +146,44 @@ def test_fit_writes_curve_and_checkpoint(tmp_path):
     cfg2, state2 = load_train_checkpoint(ckpt)
     assert cfg2 == ecfg
     assert state2.epoch == 3 and state2.step > 0
+
+
+def _small_train_checkpoint(path, extra_edit=None):
+    cfg = tiny_encoder_cfg(D=2, model_dim=2, num_heads=1, ffn_dim=2, out_dim=2,
+                           proj_hidden=2, proj_out=2)
+    state = TrainState.fresh(enc.init_params(cfg, 0))
+    state.step, state.epoch = 7, 3
+    extra = _moments_as_tensors(state)
+    if extra_edit:
+        extra_edit(extra)
+    enc.save_checkpoint(path, cfg, state.params, extra=extra)
+    return state
+
+
+def test_train_checkpoint_every_truncation_rejected(tmp_path):
+    p = tmp_path / "train.ckpt"
+    saved = _small_train_checkpoint(p)
+    _, state = load_train_checkpoint(p)
+    assert (state.step, state.epoch) == (saved.step, saved.epoch)
+    assert state.m.keys() == state.v.keys() == saved.params.tensors.keys()
+    blob = p.read_bytes()
+    for cut in range(len(blob)):
+        p.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_train_checkpoint(p)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda extra: extra.pop("adam.m.out.W"), "lacks 'adam.m.out.W'"),
+    (lambda extra: extra.pop("adam.step"), "lacks 'adam.step'"),
+    (lambda extra: extra.update({"adam.v.out.b": np.zeros(3)}), "'adam.v.out.b' has shape"),
+    (lambda extra: extra.update({"adam.epoch": np.zeros((1, 1))}), "'adam.epoch' has shape"),
+], ids=["moment", "step", "moment-shape", "epoch-shape"])
+def test_train_checkpoint_needs_full_adam_state(tmp_path, edit, message):
+    p = tmp_path / "train.ckpt"
+    _small_train_checkpoint(p, edit)
+    with pytest.raises(FormatError, match=message):
+        load_train_checkpoint(p)
 
 
 def test_fit_resume(tmp_path):
