@@ -15,33 +15,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import VideoRecord
-from .errors import ConfigError, SeqclError
+from .errors import ConfigError, SeqclError, check_fields, rule
 
 MAX_CROP_ATTEMPTS = 1000
 
 
 @dataclass
 class AugmentConfig:
-    T: int = 240
-    alpha: float = 1.5
-    beta: float = 0.20
-    sampling: str = "random"  # "random" | "even"
-    jitter_std: float = 0.0
-    jitter_dropout: float = 0.0
+    T: int = rule(240, ge=2)
+    alpha: float = rule(1.5, ge=1)
+    beta: float = rule(0.20, ge=0, le=1)
+    sampling: str = rule("random", choices=("random", "even"))
+    jitter_std: float = rule(0.0, ge=0)
+    jitter_dropout: float = rule(0.0, ge=0, lt=1)
 
     def __post_init__(self):
-        if self.T < 2:
-            raise ConfigError(f"T must be >= 2, got {self.T}")
-        if self.alpha < 1:
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
-        if not 0 <= self.beta <= 1:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.sampling not in ("random", "even"):
-            raise ConfigError(f"sampling must be 'random' or 'even', got {self.sampling!r}")
-        if self.jitter_std < 0:
-            raise ConfigError("jitter_std must be >= 0")
-        if not 0 <= self.jitter_dropout < 1:
-            raise ConfigError(f"jitter_dropout must be in [0, 1), got {self.jitter_dropout}")
+        check_fields(self)
 
 
 @dataclass

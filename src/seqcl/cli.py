@@ -24,6 +24,19 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
 
+# flag, the config field it overrides, argparse keywords
+FLAGS = [
+    ("--seed", "seed", {"type": int}),
+    ("--frames", "augment.T", {"type": int, "help": "view length T"}),
+    ("--alpha", "augment.alpha", {"type": float}),
+    ("--beta", "augment.beta", {"type": float}),
+    ("--sampling", "augment.sampling", {"choices": ["random", "even"]}),
+    ("--sigma2", "loss.sigma2", {"type": float}),
+    ("--tau", "loss.tau", {"type": float}),
+    ("--lr", "optim.lr", {"type": float}),
+    ("--epochs", "optim.epochs", {"type": int}),
+]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,15 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="JSON run config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--frames", type=int, dest="frames", help="view length T")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--sigma2", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--sampling", choices=["random", "even"])
+        for flag, dest, kwargs in FLAGS:
+            p.add_argument(flag, dest=dest, **kwargs)
         p.add_argument("--out", type=Path, help="override the command's output path")
 
     for name, desc in [
@@ -66,18 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "augment.T": args.frames,
-        "augment.alpha": args.alpha,
-        "augment.beta": args.beta,
-        "augment.sampling": args.sampling,
-        "loss.sigma2": args.sigma2,
-        "loss.tau": args.tau,
-        "optim.lr": args.lr,
-        "optim.epochs": args.epochs,
-    }
-    return load_config(args.config, overrides)
+    return load_config(args.config, {dest: getattr(args, dest) for _, dest, _ in FLAGS})
 
 
 def _require(path: Path, what: str) -> Path:
@@ -117,20 +112,22 @@ def cmd_eval(cfg: RunConfig, args) -> None:
     print(report.to_json(), end="")
 
 
-def _load_embeddings(cfg: RunConfig) -> dict:
+def _load_videos(cfg: RunConfig, *needed: str):
+    """The dataset's records by id, which must include `needed`, and the
+    checkpoint's encoder."""
     split = data_mod.load_dataset(_require(Path(cfg.data_dir), "data dir"))
     enc_cfg, params, _ = load_checkpoint(_require(Path(cfg.checkpoint), "checkpoint"))
-    records = split.train + split.test
-    embs = eval_mod.embed_dataset(params, enc_cfg, records)
-    return {r.id: e for r, e in zip(records, embs)}
+    records = {r.id: r for r in split.train + split.test}
+    for vid in needed:
+        if vid not in records:
+            raise FileNotFoundError(f"video id not in dataset: {vid}")
+    return records, enc_cfg, params
 
 
 def cmd_align(cfg: RunConfig, args) -> None:
-    embs = _load_embeddings(cfg)
-    for vid in (args.video_a, args.video_b):
-        if vid not in embs:
-            raise FileNotFoundError(f"video id not in dataset: {vid}")
-    sim = cosine_similarities(embs[args.video_a], embs[args.video_b])
+    records, enc_cfg, params = _load_videos(cfg, args.video_a, args.video_b)
+    pair = [records[args.video_a], records[args.video_b]]
+    sim = cosine_similarities(*eval_mod.embed_dataset(params, enc_cfg, pair))
     path, cost = eval_mod.dtw_align(sim)
     stem = Path(args.out) if args.out else Path(f"align_{args.video_a}_{args.video_b}")
     eval_mod.write_path_csv(path, stem.with_suffix(".csv"))
@@ -139,9 +136,8 @@ def cmd_align(cfg: RunConfig, args) -> None:
 
 
 def cmd_retrieve(cfg: RunConfig, args) -> None:
-    embs = _load_embeddings(cfg)
-    if args.video not in embs:
-        raise FileNotFoundError(f"video id not in dataset: {args.video}")
+    records, enc_cfg, params = _load_videos(cfg, args.video)
+    embs = dict(zip(records, eval_mod.embed_dataset(params, enc_cfg, list(records.values()))))
     query = embs[args.video]
     if not 0 <= args.frame < query.shape[0]:
         raise ConfigError(f"frame {args.frame} out of range for {args.video}")

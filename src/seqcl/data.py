@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_fields, rule
 
 FSEQ_MAGIC = b"FSEQ"
 FSEQ_VERSION = 1
@@ -76,19 +76,16 @@ class DatasetSplit:
 
 @dataclass
 class SyntheticSpec:
-    num_videos: int = 63
-    num_phases: int = 5
-    feature_dim: int = 32
+    num_videos: int = rule(63, ge=2)  # the test split must not be empty
+    num_phases: int = rule(5, ge=1)
+    feature_dim: int = rule(32, ge=1)
     min_len: int = 80
     max_len: int = 160
-    noise_std: float = 0.0
-    seed: int = 0
+    noise_std: float = rule(0.0, ge=0)
+    seed: int = rule(0, ge=0)
 
     def __post_init__(self):
-        if self.num_videos < 2:
-            raise ConfigError("num_videos must be >= 2 (need a non-empty test split)")
-        if self.num_phases < 1 or self.feature_dim < 1:
-            raise ConfigError("num_phases and feature_dim must be >= 1")
+        check_fields(self)
         if self.min_len < self.num_phases:
             raise ConfigError(
                 f"min_len={self.min_len} < num_phases={self.num_phases}: "
@@ -96,8 +93,6 @@ class SyntheticSpec:
             )
         if self.max_len < self.min_len:
             raise ConfigError(f"max_len={self.max_len} < min_len={self.min_len}")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
 
 
 def _phase_boundaries(rng: np.random.Generator, length: int, phases: int) -> np.ndarray:
@@ -209,13 +204,15 @@ def load_features(path: str | Path) -> VideoRecord:
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
     feats = np.frombuffer(blob[16:], dtype="<f4").reshape(s, d).copy()
+    if not np.isfinite(feats).all():
+        raise FormatError(f"{path}: non-finite features")
 
     sidecar_path = path.with_suffix(".json")
     rec_id, labels, action = path.stem, None, None
     if sidecar_path.exists():
         try:
             meta = json.loads(sidecar_path.read_text())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{sidecar_path}: malformed sidecar JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{sidecar_path}: sidecar JSON is not an object")
@@ -259,7 +256,7 @@ def load_dataset(data_dir: str | Path) -> DatasetSplit:
         manifest = json.loads(manifest_path.read_text())
         train_ids, test_ids = list(manifest["train"]), list(manifest["test"])
         num_phases, feature_dim = int(manifest["num_phases"]), int(manifest["feature_dim"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     return DatasetSplit(
         train=[load_features(data_dir / f"{rid}.fseq") for rid in train_ids],

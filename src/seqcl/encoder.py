@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, SeqclError
+from .errors import ConfigError, FormatError, SeqclError, check_fields, rule
 from .loss import softmax
 
 CKPT_MAGIC = b"CKPT"
@@ -30,22 +30,17 @@ BN_MOMENTUM = 0.1
 
 @dataclass
 class EncoderConfig:
-    input_dim: int
-    model_dim: int = 256
-    num_layers: int = 3
-    num_heads: int = 8
-    ffn_dim: int = 1024
-    out_dim: int = 128
-    proj_hidden: int = 256
-    proj_out: int = 128
+    input_dim: int = rule(ge=1)
+    model_dim: int = rule(256, ge=1)
+    num_layers: int = rule(3, ge=1)
+    num_heads: int = rule(8, ge=1)
+    ffn_dim: int = rule(1024, ge=1)
+    out_dim: int = rule(128, ge=1)
+    proj_hidden: int = rule(256, ge=1)
+    proj_out: int = rule(128, ge=1)
 
     def __post_init__(self):
-        dims = (
-            self.input_dim, self.model_dim, self.num_layers, self.num_heads,
-            self.ffn_dim, self.out_dim, self.proj_hidden, self.proj_out,
-        )
-        if any(d < 1 for d in dims):
-            raise ConfigError(f"all encoder dimensions must be >= 1, got {self}")
+        check_fields(self)
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim={self.model_dim} not divisible by num_heads={self.num_heads}"
@@ -346,7 +341,7 @@ def load_checkpoint(
 ) -> tuple[EncoderConfig, EncoderParams, dict[str, np.ndarray]]:
     """Read a checkpoint written by `save_checkpoint`. Every read is bounds
     checked, and the tensors and buffers must match the schema of the stored
-    config exactly; any violation is a FormatError."""
+    config exactly; any violation, or a non-finite value, is a FormatError."""
     path = Path(path)
     blob = path.read_bytes()
     off = 0
@@ -372,7 +367,7 @@ def load_checkpoint(
         # checkpoints from before dropout was removed carry "dropout": 0.0
         dropout = fields.pop("dropout", 0.0)
         cfg = EncoderConfig(**fields)
-    except (ValueError, TypeError, AttributeError, ConfigError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid config blob: {exc}") from exc
     if dropout != 0.0:
         raise FormatError(f"{path}: dropout={dropout!r} is not supported")
@@ -397,7 +392,10 @@ def load_checkpoint(
                     f"{path}: tensor {name!r} has shape {dims}, expected {expected[name]}"
                 )
         payload = take(4 * math.prod(dims), f"payload of {name!r}")
-        records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} has non-finite values")
+        records[name] = arr.astype(np.float64)
     missing = sorted(expected.keys() - records.keys())
     if missing:
         raise FormatError(f"{path}: missing tensors {missing}")

@@ -13,14 +13,17 @@ import numpy as np
 
 from . import encoder as enc
 from .data import DatasetSplit, VideoRecord
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields, rule
 from .loss import cosine_similarities, softmax, unit_rows
 
 
 @dataclass
 class ProbeConfig:
-    steps: int = 500
-    lr: float = 0.1
+    steps: int = rule(500, ge=1)
+    lr: float = rule(0.1, gt=0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -35,8 +38,8 @@ class EvalReport:
     def __post_init__(self):
         if not 0 <= self.classification_acc <= 1:
             raise NumericError(f"accuracy out of range: {self.classification_acc}")
-        if self.progression_r2 > 1 + 1e-9:
-            raise NumericError(f"R^2 above 1: {self.progression_r2}")
+        if not self.progression_r2 <= 1 + 1e-9:
+            raise NumericError(f"R^2 above 1 or NaN: {self.progression_r2}")
         tau = self.kendalls_tau
         if tau is not None and not -1 - 1e-9 <= tau <= 1 + 1e-9:
             raise NumericError(f"tau out of range: {tau}")

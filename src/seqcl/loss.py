@@ -18,19 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields, rule
 
 
 @dataclass
 class SCLConfig:
-    sigma2: float = 10.0
-    tau: float = 0.1
+    sigma2: float = rule(10.0, gt=0)
+    tau: float = rule(0.1, gt=0)
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ConfigError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        check_fields(self)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

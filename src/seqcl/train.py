@@ -12,7 +12,7 @@ import numpy as np
 from . import encoder as enc
 from .augment import AugmentConfig, build_view_pair
 from .data import DatasetSplit
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, check_fields, rule
 from .loss import SCLConfig, baseline_contrastive_loss, scl_loss, timestamp_correspondence
 
 # The training rng is np.random.default_rng([seed, TRAIN_STREAM]): a sub-stream
@@ -22,26 +22,19 @@ TRAIN_STREAM = 3
 
 @dataclass
 class OptimConfig:
-    lr: float = 1e-4
-    weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    epochs: int = 300
-    videos_per_batch: int = 4
-    seed: int = 0
-    checkpoint_every: int = 50
-    loss_kind: str = "scl"  # "scl" | "frame" (per-frame contrastive baseline)
+    lr: float = rule(1e-4, ge=0)
+    weight_decay: float = rule(1e-5, ge=0)
+    beta1: float = rule(0.9, ge=0, lt=1)
+    beta2: float = rule(0.999, ge=0, lt=1)
+    eps: float = rule(1e-8, gt=0)
+    epochs: int = rule(300, ge=0)
+    videos_per_batch: int = rule(4, ge=1)
+    seed: int = rule(0, ge=0)
+    checkpoint_every: int = rule(50, ge=0)
+    loss_kind: str = rule("scl", choices=("scl", "frame"))  # frame: per-frame baseline
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.epochs < 0 or self.videos_per_batch < 1:
-            raise ConfigError("epochs must be >= 0 and videos_per_batch >= 1")
-        if self.loss_kind not in ("scl", "frame"):
-            raise ConfigError(f"loss_kind must be 'scl' or 'frame', got {self.loss_kind!r}")
+        check_fields(self)
 
 
 @dataclass

@@ -1,9 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_config_blob
+from seqcl import encoder as enc
 from seqcl.cli import main
 
 TINY = {
@@ -64,6 +68,55 @@ def test_invalid_config_exit_code(workspace):
     assert main(["gen-data", "--config", str(cfg_path), "--sigma2", "0"]) == 3
 
 
+def _set(path, value):
+    """Config mutation: the leaf at dotted `path` (or the whole config) set to `value`."""
+    def mutate(cfg):
+        if path is None:
+            return value
+        *section, leaf = path.split(".")
+        (cfg[section[0]] if section else cfg)[leaf] = value
+        return cfg
+    return mutate
+
+
+# mutation, extra flags, what the message must name
+BAD_CONFIGS = {
+    "seed-str": (_set("seed", "s"), [], "RunConfig.seed"),
+    "seed-negative": (_set("seed", -1), [], "RunConfig.seed"),
+    "seed-bool": (_set("seed", True), [], "RunConfig.seed"),
+    "top-level-array": (_set(None, []), [], "config must be a JSON object"),
+    "top-level-array-flag": (_set(None, [1]), ["--seed", "1"], "config must be a JSON object"),
+    "num_videos-float": (_set("data.num_videos", 1e9), [], "SyntheticSpec.num_videos"),
+    "num_heads-float": (_set("encoder.num_heads", 2.0), [], "EncoderConfig.num_heads"),
+    "epochs-float": (_set("optim.epochs", 1.0), [], "OptimConfig.epochs"),
+    "tau-nan": (_set("loss.tau", float("nan")), [], "SCLConfig.tau"),
+    "T-float": (_set("augment.T", 2.5), [], "AugmentConfig.T"),
+    "probe-steps-negative": (_set("probe.steps", -1), [], "ProbeConfig.steps"),
+    "data_dir-int": (_set("data_dir", 5), [], "RunConfig.data_dir"),
+    "weight_decay-negative": (_set("optim.weight_decay", -5.0), [], "OptimConfig.weight_decay"),
+    "lr-str": (_set("optim.lr", "abc"), [], "OptimConfig.lr"),
+    "section-int": (_set("loss", 5), [], "config section 'loss'"),
+    "section-int-flag": (_set("augment", 5), ["--frames", "8"], "config section 'augment'"),
+}
+
+
+@pytest.mark.parametrize("mutate, flags, names", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_malformed_config_exit_code(workspace, capsys, mutate, flags, names):
+    tmp, cfg_path, cfg = workspace
+    cfg_path.write_text(json.dumps(mutate(copy.deepcopy(cfg))))
+    assert main(["train", "--config", str(cfg_path), *flags]) == 3
+    assert names in capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the parser's recursion limit
+
+
+def test_deeply_nested_config_exit_code(workspace):
+    tmp, _, _ = workspace
+    (tmp / "deep.json").write_text(DEEP_JSON)
+    assert main(["train", "--config", str(tmp / "deep.json")]) == 3
+
+
 def test_missing_checkpoint_exit_code(workspace):
     _, cfg_path, _ = workspace
     main(["gen-data", "--config", str(cfg_path)])
@@ -76,9 +129,10 @@ def test_missing_config_file_exit_code(tmp_path):
 
 def test_unknown_flag_usage_exit_code(workspace):
     _, cfg_path, _ = workspace
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-data", "--config", str(cfg_path), "--bogus"])
-    assert exc.value.code == 2
+    for bad in (["--bogus"], ["--sampling", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--config", str(cfg_path), *bad])
+        assert exc.value.code == 2
 
 
 def test_flag_overrides_win(workspace):
@@ -87,6 +141,24 @@ def test_flag_overrides_win(workspace):
     main(["train", "--config", str(cfg_path), "--epochs", "1"])
     lines = (tmp / "encoder.loss.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + one epoch
+
+
+def test_align_embeds_only_the_two_videos(workspace, monkeypatch):
+    tmp, cfg_path, _ = workspace
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path)])
+    manifest = json.loads((tmp / "data" / "dataset.json").read_text())
+    forward, calls = enc.forward, []
+
+    def counted(*args, train=True, **kwargs):
+        calls.append(train)
+        return forward(*args, train=train, **kwargs)
+
+    monkeypatch.setattr(enc, "forward", counted)
+    argv = ["align", "--config", str(cfg_path), manifest["test"][0], manifest["train"][0]]
+    assert main([*argv, "--out", str(tmp / "alignment")]) == 0
+    assert calls == [False, False]
+    assert main([*argv[:3], "nope", argv[4]]) == 4
 
 
 def test_repeat_runs_byte_identical(workspace):
@@ -110,6 +182,22 @@ def test_invalid_config_in_checkpoint_exit_code(workspace, capsys):
     assert "invalid config blob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, name", [
+    ("tensor", "proj.fc1.W"), ("buffer", "proj.bn1.var"), ("extra", "adam.m.out.b"),
+])
+def test_nonfinite_checkpoint_exit_code(workspace, capsys, kind, name):
+    tmp, cfg_path, _ = workspace
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path)])
+    cfg, params, extra = enc.load_checkpoint(tmp / "encoder.ckpt")
+    {"tensor": params.tensors, "buffer": params.buffers, "extra": extra}[kind][name][0] = np.nan
+    enc.save_checkpoint(tmp / "encoder.ckpt", cfg, params, extra=extra)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 4
+    record = name if kind == "tensor" else f"{kind}.{name}"
+    assert f"tensor {record!r} has non-finite values" in capsys.readouterr().err
+
+
 def _manifest_without(key):
     def corrupt(data_dir):
         path = data_dir / "dataset.json"
@@ -120,16 +208,29 @@ def _manifest_without(key):
     return corrupt
 
 
-def _bad_manifest_json(data_dir):
-    path = data_dir / "dataset.json"
-    path.write_text('{"train": [')
-    return path
+def _manifest_text(text):
+    def corrupt(data_dir):
+        path = data_dir / "dataset.json"
+        path.write_text(text)
+        return path
+    return corrupt
 
 
-def _bad_sidecar_json(data_dir):
+def _sidecar_text(text):
+    def corrupt(data_dir):
+        first = json.loads((data_dir / "dataset.json").read_text())["train"][0]
+        path = data_dir / f"{first}.json"
+        path.write_text(text)
+        return path
+    return corrupt
+
+
+def _nan_features(data_dir):
     first = json.loads((data_dir / "dataset.json").read_text())["train"][0]
-    path = data_dir / f"{first}.json"
-    path.write_text('{"id": ')
+    path = data_dir / f"{first}.fseq"
+    blob = bytearray(path.read_bytes())
+    blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
     return path
 
 
@@ -156,10 +257,12 @@ SIDECAR_FIELDS = {
 
 
 @pytest.mark.parametrize("corrupt", [
-    _bad_manifest_json, *(_manifest_without(k) for k in ("train", "test", "num_phases", "feature_dim")),
-    _bad_sidecar_json, *(_sidecar_with(*field) for field in SIDECAR_FIELDS.values()),
+    _manifest_text('{"train": ['),
+    *(_manifest_without(k) for k in ("train", "test", "num_phases", "feature_dim")),
+    _sidecar_text('{"id": '), *(_sidecar_with(*field) for field in SIDECAR_FIELDS.values()),
+    _nan_features, _manifest_text(DEEP_JSON), _sidecar_text(DEEP_JSON),
 ], ids=["manifest-json", "no-train", "no-test", "no-num_phases", "no-feature_dim", "sidecar-json",
-        *SIDECAR_FIELDS])
+        *SIDECAR_FIELDS, "fseq-nan", "manifest-deep", "sidecar-deep"])
 def test_malformed_dataset_exit_code(workspace, capsys, corrupt):
     tmp, cfg_path, _ = workspace
     main(["gen-data", "--config", str(cfg_path)])
@@ -167,3 +270,101 @@ def test_malformed_dataset_exit_code(workspace, capsys, corrupt):
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg_path)]) == 4
     assert str(bad) in capsys.readouterr().err
+
+
+SWAPS = ["x", True, None, [], {}, 2, 2.5, float("nan"), float("inf"), float("-inf")]
+DELETE, NEGATE = object(), object()
+NON_OBJECTS = [5, "x", [], None, True]
+# path of each fuzzed file under the workspace, given the first train video's id
+FILES = {
+    "manifest": lambda first: "data/dataset.json",
+    "sidecar": lambda first: f"data/{first}.json",
+    "fseq": lambda first: f"data/{first}.fseq",
+    "ckpt": lambda first: "encoder.ckpt",
+}
+
+
+def _edit_config(cfg, path, op):
+    """Apply one edit to the leaf, section or (empty path) whole config at `path`."""
+    if not path:
+        return op
+    parent = cfg[path[0]] if len(path) == 2 else cfg
+    if op is DELETE:
+        del parent[path[-1]]
+    elif op is NEGATE:
+        value = parent[path[-1]]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        parent[path[-1]] = -value if number else -1
+    else:
+        parent[path[-1]] = op
+    return cfg
+
+
+def _workspace_config(root):
+    cfg = dict(copy.deepcopy(TINY), data_dir=str(root / "data"),
+               checkpoint=str(root / "encoder.ckpt"), report=str(root / "report.json"))
+    (root / "config.json").write_text(json.dumps(cfg))
+    return cfg
+
+
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, monkeypatch):
+    """Malformed configs, and byte flips and truncations of a manifest, a
+    sidecar, an .fseq and a checkpoint, run through the CLI: every case ends
+    in a documented exit code, and no exception escapes."""
+    monkeypatch.chdir(tmp_path)  # a deleted path field falls back to a relative default
+    files, runs = tmp_path / "files", tmp_path / "runs"
+    files.mkdir()
+    runs.mkdir()
+    _workspace_config(files)
+    run_cfg = _workspace_config(runs)
+    on_files = ["--config", str(files / "config.json")]
+    assert main(["gen-data", *on_files]) == 0 and main(["train", *on_files]) == 0
+    manifest = json.loads((files / "data" / "dataset.json").read_text())
+    first, other = manifest["train"][0], manifest["test"][0]
+    pristine = {kind: (files / name(first)).read_bytes() for kind, name in FILES.items()}
+
+    leaves = [(k,) for k, v in run_cfg.items() if not isinstance(v, dict)]
+    leaves += [(s, k) for s, v in TINY.items() if isinstance(v, dict) for k in v]
+    sections = [()] + [(s,) for s, v in TINY.items() if isinstance(v, dict)]
+    config_edit = st.one_of(
+        st.tuples(st.sampled_from(leaves), st.sampled_from([*SWAPS, DELETE, NEGATE])),
+        st.tuples(st.sampled_from(sections), st.sampled_from(NON_OBJECTS)),
+    )
+    file_edit = st.one_of(*(
+        st.tuples(st.just(kind), st.booleans(), st.integers(0, len(blob) - 1), st.integers(1, 255))
+        for kind, blob in pristine.items()
+    ))
+    codes = set()
+
+    def run(argv):
+        code = main(argv)
+        assert code in {0, 2, 3, 4, 5}
+        codes.add(code)
+        return code
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(config_edit, file_edit))
+    def case(edit):
+        if len(edit) == 2:
+            cfg = _edit_config(copy.deepcopy(run_cfg), *edit)
+            (runs / "config.json").write_text(json.dumps(cfg))
+            for command in ("gen-data", "train", "eval"):
+                if run([command, "--config", str(runs / "config.json")]):
+                    break
+            return
+        kind, flip, at, mask = edit
+        target, blob = files / FILES[kind](first), bytearray(pristine[kind])
+        if flip:
+            blob[at] ^= mask
+        else:
+            del blob[at:]
+        target.write_bytes(bytes(blob))
+        try:
+            for argv in (["eval"], ["align", first, other], ["retrieve", first, "0"]):
+                run([argv[0], *on_files, *argv[1:]])
+        finally:
+            target.write_bytes(pristine[kind])
+
+    case()
+    assert {0, 3, 4} <= codes  # the cases reach success, config errors and file errors

@@ -92,6 +92,8 @@ def test_invalid_specs():
         SyntheticSpec(min_len=20, max_len=10)
     with pytest.raises(ConfigError):
         SyntheticSpec(noise_std=-1)
+    with pytest.raises(ConfigError):
+        SyntheticSpec(seed=-1)
 
 
 def test_round_trip_bit_identical(tmp_path):

@@ -1,4 +1,6 @@
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ def test_config_validation():
         tiny_encoder_cfg(model_dim=15)  # not divisible by heads, odd
     with pytest.raises(ConfigError):
         tiny_encoder_cfg(num_layers=0)
+    with pytest.raises(ConfigError):
+        tiny_encoder_cfg(num_heads=2.0)
 
 
 def test_init_deterministic_and_bounded():
@@ -234,6 +238,14 @@ def test_checkpoint_schema_enforced(tmp_path, tamper, message):
     p = tmp_path / "model.ckpt"
     enc.save_checkpoint(p, cfg, params, extra={"anything.goes": np.zeros(2)})
     with pytest.raises(FormatError, match=message):
+        enc.load_checkpoint(p)
+
+
+def test_checkpoint_deeply_nested_config_blob_rejected(tmp_path):
+    blob = ("[" * 100_000 + "]" * 100_000).encode()
+    p = tmp_path / "model.ckpt"
+    p.write_bytes(enc.CKPT_MAGIC + struct.pack("<II", enc.CKPT_VERSION, len(blob)) + blob)
+    with pytest.raises(FormatError, match="invalid config blob"):
         enc.load_checkpoint(p)
 
 

@@ -368,6 +368,15 @@ def test_report_range_validation():
     with pytest.raises(NumericError):
         EvalReport(classification_acc=1.5, progression_r2=0.5,
                    kendalls_tau=0.0, ap_at_k={5: 0.5})
+    with pytest.raises(NumericError):
+        EvalReport(classification_acc=0.5, progression_r2=float("nan"),
+                   kendalls_tau=0.0, ap_at_k={5: 0.5})
+
+
+def test_probe_config_validation():
+    for bad in (dict(steps=0), dict(steps=5.0), dict(lr=0.0), dict(lr="0.1")):
+        with pytest.raises(ConfigError):
+            ProbeConfig(**bad)
 
 
 def test_metrics_invariant_to_row_rescaling():

@@ -149,6 +149,8 @@ def test_config_validation():
         SCLConfig(sigma2=0.0)
     with pytest.raises(ConfigError):
         SCLConfig(tau=-0.1)
+    with pytest.raises(ConfigError):
+        SCLConfig(tau=float("nan"))
 
 
 def test_timestamp_correspondence():

@@ -80,6 +80,11 @@ def test_optim_config_validation():
         OptimConfig(videos_per_batch=0)
     with pytest.raises(ConfigError):
         OptimConfig(loss_kind="nce")
+    for bad in (dict(weight_decay=-1e-5), dict(eps=0.0), dict(checkpoint_every=-1),
+                dict(seed=-1), dict(epochs=1.0), dict(epochs=True), dict(lr=float("inf"))):
+        with pytest.raises(ConfigError):
+            OptimConfig(**bad)
+    assert type(OptimConfig(lr=1).lr) is int  # kept as given, so the echoed config is too
 
 
 def _tiny_setup(epochs=2, lr=1e-3, loss_kind="scl"):
