@@ -248,6 +248,10 @@ def save_dataset(split: DatasetSplit, out_dir: str | Path) -> None:
 
 
 def load_dataset(data_dir: str | Path) -> DatasetSplit:
+    """Read the manifest and every video it lists. num_phases must be an int
+    in [1, longest video's frame count], feature_dim must be an int that every
+    video matches, and every phase label must lie in [0, num_phases); any
+    violation is a FormatError naming the manifest or the sidecar."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "dataset.json"
     if not manifest_path.exists():
@@ -255,12 +259,32 @@ def load_dataset(data_dir: str | Path) -> DatasetSplit:
     try:
         manifest = json.loads(manifest_path.read_text())
         train_ids, test_ids = list(manifest["train"]), list(manifest["test"])
-        num_phases, feature_dim = int(manifest["num_phases"]), int(manifest["feature_dim"])
+        num_phases, feature_dim = manifest["num_phases"], manifest["feature_dim"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
-    return DatasetSplit(
-        train=[load_features(data_dir / f"{rid}.fseq") for rid in train_ids],
-        test=[load_features(data_dir / f"{rid}.fseq") for rid in test_ids],
-        num_phases=num_phases,
-        feature_dim=feature_dim,
-    )
+    if not (_is_int(num_phases) and _is_int(feature_dim)):
+        raise FormatError(
+            f"{manifest_path}: num_phases and feature_dim must be ints, "
+            f"got {num_phases!r} and {feature_dim!r}"
+        )
+    paths = [data_dir / f"{rid}.fseq" for rid in train_ids + test_ids]
+    records = [load_features(path) for path in paths]
+    longest = max((r.num_frames for r in records), default=0)
+    if not 1 <= num_phases <= longest:
+        raise FormatError(
+            f"{manifest_path}: num_phases={num_phases} is outside [1, {longest}], "
+            "where the bound is the longest video's frame count"
+        )
+    for path, r in zip(paths, records):
+        bad = [label for label in r.phase_labels or () if not 0 <= label < num_phases]
+        if bad:
+            raise FormatError(
+                f"{path.with_suffix('.json')}: phase label {bad[0]} is outside "
+                f"[0, {num_phases})"
+            )
+    n_train = len(train_ids)
+    try:
+        return DatasetSplit(train=records[:n_train], test=records[n_train:],
+                            num_phases=num_phases, feature_dim=feature_dim)
+    except ConfigError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from exc

@@ -7,6 +7,11 @@ Everything is plain numpy with hand-derived reverse-mode gradients; the
 backward pass is exact and is held to a finite-difference contract in the
 tests. Normalization in the projection block is batch norm over the T frames
 of a view (batch statistics while training, running statistics at eval).
+
+A training forward keeps every layer's activations, including each (heads,
+T, T) attention tensor, for `backward`. An eval forward keeps nothing, and
+computes attention ATTN_ROWS query rows at a time, so its memory is
+O(heads * ATTN_ROWS * T) plus O(T) activations rather than O(heads * T^2).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
 NORM_EPS = 1e-5  # batch norm and layer norm
 BN_MOMENTUM = 0.1
+ATTN_ROWS = 128  # query rows per attention block at eval
 
 
 @dataclass
@@ -138,16 +144,14 @@ def _affine_backward(d, x, p, name, grads, input_grad=True):
 def _norm_forward(x, p, name, axis, stats=None):
     """Normalize over `axis` (0: batch norm over a view's frames, 1: layer
     norm over each frame's features), then scale and shift. `stats` is a
-    fixed (mean, var) used in place of x's own, which the backward then treats
-    as constants: batch norm's running statistics at eval."""
-    fixed = stats is not None
-    if not fixed:
+    fixed (mean, var) used in place of x's own: batch norm's running
+    statistics at eval, which has no backward."""
+    if stats is None:
         stats = x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
     mu, var = stats
     invstd = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x - mu) * invstd
-    cache = {"xhat": xhat, "invstd": invstd, "axis": axis, "fixed_stats": fixed,
-             "mean": mu, "var": var}
+    cache = {"xhat": xhat, "invstd": invstd, "axis": axis, "mean": mu, "var": var}
     return p[f"{name}.gamma"] * xhat + p[f"{name}.beta"], cache
 
 
@@ -156,8 +160,6 @@ def _norm_backward(dy, cache, p, name, grads):
     grads[f"{name}.gamma"] += (dy * xhat).sum(axis=0)
     grads[f"{name}.beta"] += dy.sum(axis=0)
     dxhat = dy * p[f"{name}.gamma"]
-    if cache["fixed_stats"]:
-        return dxhat * invstd
     return invstd * (
         dxhat
         - dxhat.mean(axis=axis, keepdims=True)
@@ -178,7 +180,13 @@ def _batch_norm(x, params, name, train):
     return out, cache
 
 
-def _attn_forward(x, p, prefix, num_heads):
+def _attn_forward(x, p, prefix, num_heads, train):
+    """Multi-head self-attention over the T frames of x. A query row's
+    softmax depends on that row alone, so rows go in blocks: all T at once
+    while training, whose (heads, T, T) weights the cache keeps for backward,
+    and ATTN_ROWS at a time at eval, with an empty cache. BLAS may round a
+    block's products differently from the whole matrix's; with T <= ATTN_ROWS
+    there is one block either way."""
     T, m = x.shape
     hd = m // num_heads
     # (heads, T, head_dim)
@@ -186,9 +194,12 @@ def _attn_forward(x, p, prefix, num_heads):
         _affine(x, p, f"{prefix}.{name}").reshape(T, num_heads, hd).transpose(1, 0, 2)
         for name in "qkv"
     )
-    attn = softmax(qh @ kh.transpose(0, 2, 1) / np.sqrt(hd))
-    ctx = (attn @ vh).transpose(1, 0, 2).reshape(T, m)
-    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx}
+    rows = T if train else ATTN_ROWS
+    ctx = np.empty((T, m))
+    for start in range(0, T, rows):
+        attn = softmax(qh[:, start : start + rows] @ kh.transpose(0, 2, 1) / np.sqrt(hd))
+        ctx[start : start + rows] = (attn @ vh).transpose(1, 0, 2).reshape(-1, m)
+    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx} if train else {}
     return _affine(ctx, p, f"{prefix}.o"), cache
 
 
@@ -217,7 +228,10 @@ def forward(
     *,
     train: bool = False,
 ) -> tuple[EmbeddingSequence, dict]:
-    """Encode one view (T x input_dim) into (H, Z); returns cache for backward."""
+    """Encode one view (T x input_dim) into (H, Z). With train=True, batch
+    norm uses (and moves the running statistics by) the view's own
+    statistics, and the returned cache holds what `backward` needs. At eval
+    the cache is {}, and no Transformer layer's activations outlive it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ConfigError(f"expected (T, {cfg.input_dim}) input, got {x.shape}")
@@ -235,14 +249,15 @@ def forward(
     for i in range(cfg.num_layers):
         lc: dict = {}
         norm1, lc["ln1"] = _norm_forward(h, p, f"layer{i}.ln1", 1)
-        attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads)
+        attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads, train)
         h = h + attn
 
         lc["norm2"], lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", 1)
         lc["f1"] = _affine(lc["norm2"], p, f"layer{i}.ffn.fc1")
         lc["fa"] = np.maximum(lc["f1"], 0.0)
         h = h + _affine(lc["fa"], p, f"layer{i}.ffn.fc2")
-        cache["layers"].append(lc)
+        if train:
+            cache["layers"].append(lc)
 
     cache["trunk"] = h
     H = _affine(h, p, "out")
@@ -250,7 +265,7 @@ def forward(
     ga = np.maximum(g1, 0.0)
     Z = _affine(ga, p, "head.fc2")
     cache["H"], cache["g1"], cache["ga"] = H, g1, ga
-    return EmbeddingSequence(H=H, Z=Z), cache
+    return EmbeddingSequence(H=H, Z=Z), cache if train else {}
 
 
 def backward(
@@ -263,7 +278,7 @@ def backward(
     upstream gradient on the latent embeddings Z of the matching forward call.
     """
     if "trunk" not in cache:
-        raise SeqclError("backward needs the cache returned by forward")
+        raise SeqclError("backward needs the cache returned by a train=True forward")
     p = params.tensors
     grads = {name: np.zeros_like(t) for name, t in p.items()}
 

@@ -208,6 +208,27 @@ def _manifest_without(key):
     return corrupt
 
 
+def _manifest_with(key, value):
+    def corrupt(data_dir):
+        path = data_dir / "dataset.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        return path
+    return corrupt
+
+
+MANIFEST_FIELDS = {  # TINY's videos are 20-30 frames of 8 features
+    "num_phases-zero": ("num_phases", 0),
+    "num_phases-negative": ("num_phases", -3),
+    "num_phases-over-length": ("num_phases", 31),
+    "num_phases-huge": ("num_phases", 10**12),
+    "num_phases-inf": ("num_phases", float("inf")),
+    "num_phases-float": ("num_phases", 2.5),
+    "feature_dim-mismatch": ("feature_dim", 9),
+}
+
+
 def _manifest_text(text):
     def corrupt(data_dir):
         path = data_dir / "dataset.json"
@@ -253,6 +274,9 @@ SIDECAR_FIELDS = {
     "labels-bool-entry": ("phase_labels", lambda meta: [True] + meta["phase_labels"][1:]),
     "action-list": ("action_label", lambda meta: [1]),
     "id-int": ("id", lambda meta: 5),
+    "label-huge": ("phase_labels", lambda meta: [10**12] + meta["phase_labels"][1:]),
+    "label-negative": ("phase_labels", lambda meta: [-1] + meta["phase_labels"][1:]),
+    "label-num_phases": ("phase_labels", lambda meta: meta["phase_labels"][:-1] + [3]),
 }
 
 
@@ -261,8 +285,9 @@ SIDECAR_FIELDS = {
     *(_manifest_without(k) for k in ("train", "test", "num_phases", "feature_dim")),
     _sidecar_text('{"id": '), *(_sidecar_with(*field) for field in SIDECAR_FIELDS.values()),
     _nan_features, _manifest_text(DEEP_JSON), _sidecar_text(DEEP_JSON),
+    *(_manifest_with(*field) for field in MANIFEST_FIELDS.values()),
 ], ids=["manifest-json", "no-train", "no-test", "no-num_phases", "no-feature_dim", "sidecar-json",
-        *SIDECAR_FIELDS, "fseq-nan", "manifest-deep", "sidecar-deep"])
+        *SIDECAR_FIELDS, "fseq-nan", "manifest-deep", "sidecar-deep", *MANIFEST_FIELDS])
 def test_malformed_dataset_exit_code(workspace, capsys, corrupt):
     tmp, cfg_path, _ = workspace
     main(["gen-data", "--config", str(cfg_path)])

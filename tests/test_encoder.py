@@ -1,5 +1,6 @@
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +58,8 @@ def test_positional_encoding_values():
 def test_forward_single_frame_finite():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 0)
-    emb, cache = enc.forward(params, cfg, np.random.default_rng(0).standard_normal((1, 8)))
+    emb, cache = enc.forward(params, cfg, np.random.default_rng(0).standard_normal((1, 8)),
+                             train=True)
     assert emb.H.shape == (1, cfg.out_dim) and emb.Z.shape == (1, cfg.proj_out)
     assert np.isfinite(emb.H).all() and np.isfinite(emb.Z).all()
     for lc in cache["layers"]:
@@ -67,7 +69,8 @@ def test_forward_single_frame_finite():
 def test_attention_rows_are_probabilities():
     cfg = tiny_encoder_cfg(num_layers=2)
     params = enc.init_params(cfg, 1)
-    _, cache = enc.forward(params, cfg, np.random.default_rng(2).standard_normal((7, 8)))
+    _, cache = enc.forward(params, cfg, np.random.default_rng(2).standard_normal((7, 8)),
+                           train=True)
     for lc in cache["layers"]:
         rows = lc["attn"]["attn"].sum(axis=2)
         assert np.abs(rows - 1).max() < 1e-6
@@ -147,6 +150,43 @@ def test_backward_requires_cache():
     params = enc.init_params(cfg, 0)
     with pytest.raises(SeqclError):
         enc.backward(params, cfg, {}, np.zeros((3, cfg.proj_out)))
+    emb, cache = enc.forward(params, cfg, np.zeros((3, 8)), train=False)
+    with pytest.raises(SeqclError, match="train=True"):
+        enc.backward(params, cfg, cache, np.zeros_like(emb.Z))
+
+
+@pytest.mark.parametrize("T", [128, 300])
+def test_eval_attention_row_blocks_match_full_attention(monkeypatch, T):
+    # T=300 runs blocks of 128, 128 and 44 rows; T <= ATTN_ROWS is one block
+    cfg = tiny_encoder_cfg(num_layers=2)
+    params = enc.init_params(cfg, 14)
+    # move the batch-norm running statistics off their initial values
+    enc.forward(params, cfg, np.random.default_rng(15).standard_normal((T, 8)), train=True)
+    x = np.random.default_rng(16).standard_normal((T, 8))
+    tol = 0.0 if T <= enc.ATTN_ROWS else 1e-12
+    blocked, cache = enc.forward(params, cfg, x)
+    assert cache == {}
+    monkeypatch.setattr(enc, "ATTN_ROWS", T)
+    full, _ = enc.forward(params, cfg, x)
+    assert np.abs(blocked.H - full.H).max() <= tol
+    assert np.abs(blocked.Z - full.Z).max() <= tol
+
+
+def test_long_video_eval_memory_bounded():
+    # The query-long benchmark encoder at T=5000: full (heads, T, T) attention
+    # would need about 2.4 GB; row blocks keep the peak under 128 MB.
+    cfg = enc.EncoderConfig(input_dim=32, model_dim=64, num_layers=2, num_heads=4,
+                            ffn_dim=128, out_dim=32, proj_hidden=32, proj_out=32)
+    params = enc.init_params(cfg, 17)
+    x = np.random.default_rng(18).standard_normal((5000, 32))
+    tracemalloc.start()
+    try:
+        emb, _ = enc.forward(params, cfg, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(emb.H).all()
+    assert peak < 128 * 2**20
 
 
 def test_backward_deterministic():
@@ -160,12 +200,12 @@ def test_backward_deterministic():
         assert np.array_equal(g1[name], g2[name])
 
 
-@pytest.mark.parametrize("seed,train,num_layers", [
-    pytest.param(seed, train, num_layers,
-                 id=f"{seed}-{train}" + ("" if num_layers == 1 else f"-{num_layers}layers"))
-    for num_layers in (1, 2) for train in (True, False) for seed in (0, 1)
+@pytest.mark.parametrize("seed,num_layers", [
+    pytest.param(seed, num_layers,
+                 id=f"{seed}-True" + ("" if num_layers == 1 else f"-{num_layers}layers"))
+    for num_layers in (1, 2) for seed in (0, 1)
 ])
-def test_gradients_match_finite_differences(seed, train, num_layers):
+def test_gradients_match_finite_differences(seed, num_layers):
     cfg = tiny_encoder_cfg(D=6, model_dim=8, num_heads=2, ffn_dim=12, out_dim=5,
                            proj_hidden=5, proj_out=4, num_layers=num_layers)
     params = enc.init_params(cfg, seed)
@@ -174,10 +214,10 @@ def test_gradients_match_finite_differences(seed, train, num_layers):
     w = rng.standard_normal((5, 4))  # fixed linear functional of Z
 
     def loss_of(p):
-        e, _ = enc.forward(p, cfg, x, train=train)
+        e, _ = enc.forward(p, cfg, x, train=True)
         return float((w * e.Z).sum() + 0.5 * (e.Z**2).sum())
 
-    emb, cache = enc.forward(params, cfg, x, train=train)
+    emb, cache = enc.forward(params, cfg, x, train=True)
     analytic = enc.backward(params, cfg, cache, w + emb.Z)
     numeric = fd_param_grads(lambda p: loss_of(p), params, h=1e-5)
     assert max_rel_err(analytic, numeric) < 1e-4
