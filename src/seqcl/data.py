@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -248,10 +249,12 @@ def save_dataset(split: DatasetSplit, out_dir: str | Path) -> None:
 
 
 def load_dataset(data_dir: str | Path) -> DatasetSplit:
-    """Read the manifest and every video it lists. num_phases must be an int
-    in [1, longest video's frame count], feature_dim must be an int that every
-    video matches, and every phase label must lie in [0, num_phases); any
-    violation is a FormatError naming the manifest or the sidecar."""
+    """Read the manifest and every video it lists. The train and test lists
+    must be non-empty, no video id may occur twice (listed twice, or given by
+    two sidecars), num_phases must be an int in [1, longest video's frame count],
+    feature_dim must be an int that every video matches, and every phase
+    label must lie in [0, num_phases); any violation is a FormatError naming
+    the manifest or the sidecar."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "dataset.json"
     if not manifest_path.exists():
@@ -267,8 +270,15 @@ def load_dataset(data_dir: str | Path) -> DatasetSplit:
             f"{manifest_path}: num_phases and feature_dim must be ints, "
             f"got {num_phases!r} and {feature_dim!r}"
         )
+    if not (train_ids and test_ids):
+        raise FormatError(f"{manifest_path}: the train and test lists must not be empty")
     paths = [data_dir / f"{rid}.fseq" for rid in train_ids + test_ids]
     records = [load_features(path) for path in paths]
+    twice = [rid for rid, n in Counter(r.id for r in records).items() if n > 1]
+    if twice:
+        raise FormatError(
+            f"{manifest_path}: video id {twice[0]!r} is listed twice or given by two sidecars"
+        )
     longest = max((r.num_frames for r in records), default=0)
     if not 1 <= num_phases <= longest:
         raise FormatError(

@@ -8,9 +8,9 @@ backward pass is exact and is held to a finite-difference contract in the
 tests. Normalization in the projection block is batch norm over the T frames
 of a view (batch statistics while training, running statistics at eval).
 
-A training forward keeps every layer's activations, including each (heads,
-T, T) attention tensor, for `backward`. An eval forward keeps nothing, and
-computes attention ATTN_ROWS query rows at a time, so its memory is
+A training forward keeps every layer's activations, including the (N, heads,
+T, T) attention weights, for `backward`. An eval forward keeps nothing, and
+computes attention ATTN_ROWS query rows at a time, so its memory per view is
 O(heads * ATTN_ROWS * T) plus O(T) activations rather than O(heads * T^2).
 """
 
@@ -63,8 +63,8 @@ class EncoderParams:
 
 @dataclass
 class EmbeddingSequence:
-    H: np.ndarray  # (T, out_dim) frame-wise representations
-    Z: np.ndarray  # (T, proj_out) latent embeddings for the loss
+    H: np.ndarray  # (N, T, out_dim) frame-wise representations
+    Z: np.ndarray  # (N, T, proj_out) latent embeddings for the loss
 
 
 def _affine_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, int]]:
@@ -134,16 +134,17 @@ def _affine(x, p, name):
 
 
 def _affine_backward(d, x, p, name, grads, input_grad=True):
-    """Accumulate the W and b gradients of `_affine(x, p, name)` under the
-    upstream gradient d; return the input gradient unless input_grad is off."""
-    grads[f"{name}.W"] += x.T @ d
-    grads[f"{name}.b"] += d.sum(axis=0)
+    """Add the W and b gradients of `_affine(x, p, name)` under upstream d,
+    view by view; return the input gradient unless input_grad is off."""
+    for xv, dv in zip(x, d):
+        grads[f"{name}.W"] += xv.T @ dv
+        grads[f"{name}.b"] += dv.sum(axis=0)
     return d @ p[f"{name}.W"].T if input_grad else None
 
 
 def _norm_forward(x, p, name, axis, stats=None):
-    """Normalize over `axis` (0: batch norm over a view's frames, 1: layer
-    norm over each frame's features), then scale and shift. `stats` is a
+    """Normalize over `axis` (1: batch norm over each view's frames, -1:
+    layer norm over each frame's features), then scale and shift. `stats` is a
     fixed (mean, var) used in place of x's own: batch norm's running
     statistics at eval, which has no backward."""
     if stats is None:
@@ -157,8 +158,9 @@ def _norm_forward(x, p, name, axis, stats=None):
 
 def _norm_backward(dy, cache, p, name, grads):
     xhat, invstd, axis = cache["xhat"], cache["invstd"], cache["axis"]
-    grads[f"{name}.gamma"] += (dy * xhat).sum(axis=0)
-    grads[f"{name}.beta"] += dy.sum(axis=0)
+    for dyv, xv in zip(dy, xhat):
+        grads[f"{name}.gamma"] += (dyv * xv).sum(axis=0)
+        grads[f"{name}.beta"] += dyv.sum(axis=0)
     dxhat = dy * p[f"{name}.gamma"]
     return invstd * (
         dxhat
@@ -168,56 +170,57 @@ def _norm_backward(dy, cache, p, name, grads):
 
 
 def _batch_norm(x, params, name, train):
-    """Batch norm over the frames of one view: batch statistics while training,
-    which also move the running statistics; running statistics at eval."""
+    """Batch norm over each view's frames: its own statistics while training,
+    which move the running statistics view by view; running ones at eval."""
     buffers = params.buffers
     stats = None if train else (buffers[f"{name}.mean"], buffers[f"{name}.var"])
-    out, cache = _norm_forward(x, params.tensors, name, 0, stats)
+    out, cache = _norm_forward(x, params.tensors, name, 1, stats)
     if train:
         for stat in ("mean", "var"):
             key = f"{name}.{stat}"
-            buffers[key] = (1 - BN_MOMENTUM) * buffers[key] + BN_MOMENTUM * cache[stat][0]
+            for view_stat in cache[stat][:, 0]:
+                buffers[key] = (1 - BN_MOMENTUM) * buffers[key] + BN_MOMENTUM * view_stat
     return out, cache
 
 
 def _attn_forward(x, p, prefix, num_heads, train):
-    """Multi-head self-attention over the T frames of x. A query row's
-    softmax depends on that row alone, so rows go in blocks: all T at once
-    while training, whose (heads, T, T) weights the cache keeps for backward,
-    and ATTN_ROWS at a time at eval, with an empty cache. BLAS may round a
-    block's products differently from the whole matrix's; with T <= ATTN_ROWS
-    there is one block either way."""
-    T, m = x.shape
+    """Multi-head self-attention over the T frames of each of x's N views. A
+    query row's softmax depends on that row alone, so rows go in blocks along
+    T: all T at once while training, whose (N, heads, T, T) weights the cache
+    keeps for backward, and ATTN_ROWS at a time at eval, with an empty cache.
+    BLAS may round a block's products differently from the whole matrix's;
+    with T <= ATTN_ROWS there is one block either way."""
+    N, T, m = x.shape
     hd = m // num_heads
-    # (heads, T, head_dim)
+    # (N, heads, T, head_dim)
     qh, kh, vh = (
-        _affine(x, p, f"{prefix}.{name}").reshape(T, num_heads, hd).transpose(1, 0, 2)
+        _affine(x, p, f"{prefix}.{name}").reshape(N, T, num_heads, hd).transpose(0, 2, 1, 3)
         for name in "qkv"
     )
     rows = T if train else ATTN_ROWS
-    ctx = np.empty((T, m))
+    ctx = np.empty((N, T, m))
     for start in range(0, T, rows):
-        attn = softmax(qh[:, start : start + rows] @ kh.transpose(0, 2, 1) / np.sqrt(hd))
-        ctx[start : start + rows] = (attn @ vh).transpose(1, 0, 2).reshape(-1, m)
+        attn = softmax(qh[:, :, start : start + rows] @ kh.swapaxes(-1, -2) / np.sqrt(hd))
+        ctx[:, start : start + rows] = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, -1, m)
     cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx} if train else {}
     return _affine(ctx, p, f"{prefix}.o"), cache
 
 
 def _attn_backward(dout, cache, p, prefix, num_heads, grads):
     x, qh, kh, vh, attn = cache["x"], cache["qh"], cache["kh"], cache["vh"], cache["attn"]
-    T, m = x.shape
+    N, T, m = x.shape
     hd = m // num_heads
     dctx = _affine_backward(dout, cache["ctx"], p, f"{prefix}.o", grads)
-    dctx = dctx.reshape(T, num_heads, hd).transpose(1, 0, 2)
-    dattn = dctx @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    dctx = dctx.reshape(N, T, num_heads, hd).transpose(0, 2, 1, 3)
+    dattn = dctx @ vh.swapaxes(-1, -2)
+    dvh = attn.swapaxes(-1, -2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dscores /= np.sqrt(hd)
     dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
+    dkh = dscores.swapaxes(-1, -2) @ qh
     return sum(
-        _affine_backward(dmat.transpose(1, 0, 2).reshape(T, m), x, p, f"{prefix}.{name}", grads)
-        for name, dmat in (("q", dqh), ("k", dkh), ("v", dvh))
+        _affine_backward(d.transpose(0, 2, 1, 3).reshape(N, T, m), x, p, f"{prefix}.{n}", grads)
+        for n, d in (("q", dqh), ("k", dkh), ("v", dvh))
     )
 
 
@@ -228,14 +231,15 @@ def forward(
     *,
     train: bool = False,
 ) -> tuple[EmbeddingSequence, dict]:
-    """Encode one view (T x input_dim) into (H, Z). With train=True, batch
-    norm uses (and moves the running statistics by) the view's own
-    statistics, and the returned cache holds what `backward` needs. At eval
-    the cache is {}, and no Transformer layer's activations outlive it."""
+    """Encode N views, x of shape (N, T, input_dim), into (H, Z) of shape
+    (N, T, .); one video is N=1. With train=True, batch norm uses (and moves
+    the running statistics by) each view's own statistics, and the returned
+    cache holds what `backward` needs. At eval the cache is {}, and no
+    Transformer layer's activations outlive it."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ConfigError(f"expected (T, {cfg.input_dim}) input, got {x.shape}")
-    T = x.shape[0]
+    if x.ndim != 3 or x.shape[2] != cfg.input_dim:
+        raise ConfigError(f"expected (N, T, {cfg.input_dim}) input, got {x.shape}")
+    T = x.shape[1]
     p = params.tensors
     cache: dict = {"x": x, "layers": []}
 
@@ -248,11 +252,11 @@ def forward(
 
     for i in range(cfg.num_layers):
         lc: dict = {}
-        norm1, lc["ln1"] = _norm_forward(h, p, f"layer{i}.ln1", 1)
+        norm1, lc["ln1"] = _norm_forward(h, p, f"layer{i}.ln1", -1)
         attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads, train)
         h = h + attn
 
-        lc["norm2"], lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", 1)
+        lc["norm2"], lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", -1)
         lc["f1"] = _affine(lc["norm2"], p, f"layer{i}.ffn.fc1")
         lc["fa"] = np.maximum(lc["f1"], 0.0)
         h = h + _affine(lc["fa"], p, f"layer{i}.ffn.fc2")
@@ -273,14 +277,14 @@ def backward(
     cfg: EncoderConfig,
     cache: dict,
     grad_Z: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of the loss wrt every learnable tensor, given the
-    upstream gradient on the latent embeddings Z of the matching forward call.
-    """
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Add the exact gradients of the loss wrt every learnable tensor into
+    `grads`, given the upstream gradient on the (N, T, proj_out) latent
+    embeddings Z of the matching forward call, view by view in batch order."""
     if "trunk" not in cache:
         raise SeqclError("backward needs the cache returned by a train=True forward")
     p = params.tensors
-    grads = {name: np.zeros_like(t) for name, t in p.items()}
 
     dga = _affine_backward(grad_Z, cache["ga"], p, "head.fc2", grads)
     dH = _affine_backward(dga * (cache["g1"] > 0), cache["H"], p, "head.fc1", grads)
@@ -300,7 +304,6 @@ def backward(
     da1 = _affine_backward(dz2, cache["a1"], p, "proj.fc2", grads)
     dz1 = _norm_backward(da1 * (cache["bn1_out"] > 0), cache["bn1"], p, "proj.bn1", grads)
     _affine_backward(dz1, cache["x"], p, "proj.fc1", grads, input_grad=False)
-    return grads
 
 
 # --- checkpoint container ---

@@ -65,8 +65,8 @@ def embed_dataset(
     """Encode each full video in one eval-mode pass; rows L2-normalized."""
     out = []
     for rec in records:
-        emb, _ = enc.forward(params, cfg, rec.features, train=False)
-        out.append(unit_rows(emb.H, f"video {rec.id!r}: embedding")[0])
+        emb, _ = enc.forward(params, cfg, rec.features[None], train=False)
+        out.append(unit_rows(emb.H[0], f"video {rec.id!r}: embedding")[0])
     return out
 
 
@@ -162,9 +162,10 @@ def kendalls_tau(emb1: np.ndarray, emb2: np.ndarray) -> float:
         raise ConfigError(f"need at least 2 frames, got {t1}")
     # argmax breaks score ties toward the smaller index
     nn = cosine_similarities(emb1, emb2).argmax(axis=1)
-    diff = np.sign(nn[None, :] - nn[:, None])
-    upper = np.triu_indices(t1, k=1)
-    return float(diff[upper].sum() / (t1 * (t1 - 1) / 2))
+    rows = 128  # sign(nn[j] - nn[i]) over j > i, summed 128 rows i at a time
+    signs = sum(int(np.triu(np.sign(nn[lo + 1 :] - nn[lo : lo + rows, None])).sum())
+                for lo in range(0, t1 - 1, rows))
+    return float(signs / (t1 * (t1 - 1) / 2))
 
 
 def _top_k(scores: np.ndarray, K: int) -> np.ndarray:

@@ -62,7 +62,7 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 def adam_step(
     state: TrainState, grads: dict[str, np.ndarray], cfg: OptimConfig, lr: float
 ) -> None:
-    """One in-place Adam update with decoupled weight decay."""
+    """One Adam update with decoupled weight decay, in place on params and moments."""
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in tensor {name!r}")
@@ -74,30 +74,26 @@ def adam_step(
         g = grads[name]
         if cfg.weight_decay > 0:
             theta -= lr * cfg.weight_decay * theta
-        state.m[name] = cfg.beta1 * state.m[name] + (1 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1 - cfg.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        theta -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        state.m[name] *= cfg.beta1
+        state.m[name] += (1 - cfg.beta1) * g
+        state.v[name] *= cfg.beta2
+        state.v[name] += (1 - cfg.beta2) * (g * g)
+        theta -= lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.eps)
 
 
 def _pair_loss_and_grads(state, enc_cfg, scl_cfg, optim_cfg, pair, scale, grads_out):
-    """Forward both views, apply the configured loss, backprop; returns loss or None
-    when the baseline loss has no timestamp matches for this pair."""
-    emb1, cache1 = enc.forward(state.params, enc_cfg, pair.view1.features, train=True)
-    emb2, cache2 = enc.forward(state.params, enc_cfg, pair.view2.features, train=True)
+    """One (2, T, D) forward, loss and backward into grads_out; returns the loss,
+    or None when the baseline loss has no timestamp matches for this pair."""
+    x = np.stack((pair.view1.features, pair.view2.features))
+    emb, cache = enc.forward(state.params, enc_cfg, x, train=True)
     if optim_cfg.loss_kind == "scl":
-        loss, (g1, g2) = scl_loss(
-            emb1.Z, emb2.Z, pair.view1.timestamps, pair.view2.timestamps, scl_cfg
-        )
+        loss, grad_Z = scl_loss(*emb.Z, pair.view1.timestamps, pair.view2.timestamps, scl_cfg)
     else:
         matches = timestamp_correspondence(pair.view1.timestamps, pair.view2.timestamps)
         if not matches:
             return None
-        loss, (g1, g2) = baseline_contrastive_loss(emb1.Z, emb2.Z, matches, scl_cfg.tau)
-    for cache, g in ((cache1, g1), (cache2, g2)):
-        for name, grad in enc.backward(state.params, enc_cfg, cache, g * scale).items():
-            grads_out[name] += grad
+        loss, grad_Z = baseline_contrastive_loss(*emb.Z, matches, scl_cfg.tau)
+    enc.backward(state.params, enc_cfg, cache, np.stack(grad_Z) * scale, grads_out)
     return loss
 
 

@@ -56,18 +56,18 @@ def test_criterion_1_gradient_correctness():
         scl = SCLConfig(sigma2=10.0, tau=0.1)
 
         def loss_of(p):
-            e1, _ = enc.forward(p, cfg, x1, train=True)
-            e2, _ = enc.forward(p, cfg, x2, train=True)
-            return scl_loss(e1.Z, e2.Z, s1, s2, scl)[0]
+            e1, _ = enc.forward(p, cfg, x1[None], train=True)
+            e2, _ = enc.forward(p, cfg, x2[None], train=True)
+            return scl_loss(e1.Z[0], e2.Z[0], s1, s2, scl)[0]
 
-        e1, c1 = enc.forward(params, cfg, x1, train=True)
-        e2, c2 = enc.forward(params, cfg, x2, train=True)
+        e1, c1 = enc.forward(params, cfg, x1[None], train=True)
+        e2, c2 = enc.forward(params, cfg, x2[None], train=True)
         if min(_relu_margin(c1), _relu_margin(c2)) < 1e-3:
             continue  # redraw: the h=1e-5 probe would cross a ReLU kink
-        _, (g1, g2) = scl_loss(e1.Z, e2.Z, s1, s2, scl)
-        analytic = enc.backward(params, cfg, c1, g1)
-        for name, g in enc.backward(params, cfg, c2, g2).items():
-            analytic[name] += g
+        _, (g1, g2) = scl_loss(e1.Z[0], e2.Z[0], s1, s2, scl)
+        analytic = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+        enc.backward(params, cfg, c1, g1[None], analytic)
+        enc.backward(params, cfg, c2, g2[None], analytic)
         numeric = fd_param_grads(loss_of, params, h=1e-5)
         worst = max(worst, max_rel_err(analytic, numeric))
         checked += 1

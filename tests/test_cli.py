@@ -280,14 +280,44 @@ SIDECAR_FIELDS = {
 }
 
 
+def _manifest_lists(edit):
+    """Apply edit(train, test) to the manifest's two id lists, in place."""
+    def corrupt(data_dir):
+        path = data_dir / "dataset.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["train"], manifest["test"])
+        path.write_text(json.dumps(manifest))
+        return path
+    return corrupt
+
+
+def _sidecar_id_twice(data_dir):
+    """Give the first train video's sidecar the second train video's id."""
+    path = data_dir / "dataset.json"
+    first, second = json.loads(path.read_text())["train"][:2]
+    sidecar = data_dir / f"{first}.json"
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), id=second)))
+    return path
+
+
+MANIFEST_LISTS = {
+    "train-empty": _manifest_lists(lambda train, test: train.clear()),
+    "test-empty": _manifest_lists(lambda train, test: test.clear()),
+    "test-id-twice": _manifest_lists(lambda train, test: test.append(test[0])),
+    "train-id-twice": _manifest_lists(lambda train, test: train.insert(1, train[0])),
+    "sidecar-id-twice": _sidecar_id_twice,
+}
+
+
 @pytest.mark.parametrize("corrupt", [
     _manifest_text('{"train": ['),
     *(_manifest_without(k) for k in ("train", "test", "num_phases", "feature_dim")),
     _sidecar_text('{"id": '), *(_sidecar_with(*field) for field in SIDECAR_FIELDS.values()),
     _nan_features, _manifest_text(DEEP_JSON), _sidecar_text(DEEP_JSON),
-    *(_manifest_with(*field) for field in MANIFEST_FIELDS.values()),
+    *(_manifest_with(*field) for field in MANIFEST_FIELDS.values()), *MANIFEST_LISTS.values(),
 ], ids=["manifest-json", "no-train", "no-test", "no-num_phases", "no-feature_dim", "sidecar-json",
-        *SIDECAR_FIELDS, "fseq-nan", "manifest-deep", "sidecar-deep", *MANIFEST_FIELDS])
+        *SIDECAR_FIELDS, "fseq-nan", "manifest-deep", "sidecar-deep", *MANIFEST_FIELDS,
+        *MANIFEST_LISTS])
 def test_malformed_dataset_exit_code(workspace, capsys, corrupt):
     tmp, cfg_path, _ = workspace
     main(["gen-data", "--config", str(cfg_path)])

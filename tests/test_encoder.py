@@ -8,6 +8,11 @@ import pytest
 from conftest import fd_param_grads, max_rel_err, rewrite_config_blob, tiny_encoder_cfg
 from seqcl import encoder as enc
 from seqcl.errors import ConfigError, FormatError, SeqclError
+from seqcl.loss import SCLConfig, scl_loss
+
+
+def _zero_grads(params):
+    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
 def test_config_validation():
@@ -58,9 +63,9 @@ def test_positional_encoding_values():
 def test_forward_single_frame_finite():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 0)
-    emb, cache = enc.forward(params, cfg, np.random.default_rng(0).standard_normal((1, 8)),
+    emb, cache = enc.forward(params, cfg, np.random.default_rng(0).standard_normal((1, 8))[None],
                              train=True)
-    assert emb.H.shape == (1, cfg.out_dim) and emb.Z.shape == (1, cfg.proj_out)
+    assert emb.H.shape == (1, 1, cfg.out_dim) and emb.Z.shape == (1, 1, cfg.proj_out)
     assert np.isfinite(emb.H).all() and np.isfinite(emb.Z).all()
     for lc in cache["layers"]:
         assert np.allclose(lc["attn"]["attn"], 1.0)  # softmax over a single key
@@ -69,10 +74,10 @@ def test_forward_single_frame_finite():
 def test_attention_rows_are_probabilities():
     cfg = tiny_encoder_cfg(num_layers=2)
     params = enc.init_params(cfg, 1)
-    _, cache = enc.forward(params, cfg, np.random.default_rng(2).standard_normal((7, 8)),
+    _, cache = enc.forward(params, cfg, np.random.default_rng(2).standard_normal((7, 8))[None],
                            train=True)
     for lc in cache["layers"]:
-        rows = lc["attn"]["attn"].sum(axis=2)
+        rows = lc["attn"]["attn"].sum(axis=-1)
         assert np.abs(rows - 1).max() < 1e-6
 
 
@@ -80,16 +85,16 @@ def test_shape_mismatch_rejected():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 0)
     with pytest.raises(ConfigError):
-        enc.forward(params, cfg, np.zeros((4, 5)))
+        enc.forward(params, cfg, np.zeros((1, 4, 5)))
 
 
 def test_sequence_length_independence():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 0)
     rng = np.random.default_rng(3)
-    a, _ = enc.forward(params, cfg, rng.standard_normal((4, 8)))
-    b, _ = enc.forward(params, cfg, rng.standard_normal((8, 8)))
-    assert a.H.shape == (4, cfg.out_dim) and b.H.shape == (8, cfg.out_dim)
+    a, _ = enc.forward(params, cfg, rng.standard_normal((4, 8))[None])
+    b, _ = enc.forward(params, cfg, rng.standard_normal((8, 8))[None])
+    assert a.H.shape == (1, 4, cfg.out_dim) and b.H.shape == (1, 8, cfg.out_dim)
 
 
 def test_permutation_equivariance_with_matched_pe(monkeypatch):
@@ -100,19 +105,19 @@ def test_permutation_equivariance_with_matched_pe(monkeypatch):
     x = rng.standard_normal((T, cfg.input_dim))
     pe = enc.positional_encoding(T, cfg.model_dim)
     perm = rng.permutation(T)
-    base, _ = enc.forward(params, cfg, x)
+    base, _ = enc.forward(params, cfg, x[None])
     monkeypatch.setattr(enc, "positional_encoding", lambda T, model_dim: pe[perm])
-    permuted, _ = enc.forward(params, cfg, x[perm])
-    assert np.allclose(permuted.H, base.H[perm], atol=1e-10)
+    permuted, _ = enc.forward(params, cfg, x[perm][None])
+    assert np.allclose(permuted.H[0], base.H[0][perm], atol=1e-10)
 
 
 def test_eval_mode_deterministic_after_training_forwards():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 6)
     x = np.random.default_rng(7).standard_normal((5, 8))
-    enc.forward(params, cfg, x, train=True)  # mutate running stats
-    a, _ = enc.forward(params, cfg, x, train=False)
-    b, _ = enc.forward(params, cfg, x, train=False)
+    enc.forward(params, cfg, x[None], train=True)  # mutate running stats
+    a, _ = enc.forward(params, cfg, x[None], train=False)
+    b, _ = enc.forward(params, cfg, x[None], train=False)
     assert np.array_equal(a.H, b.H) and np.array_equal(a.Z, b.Z)
 
 
@@ -124,7 +129,7 @@ def test_residual_wiring_smoke():
         if name.startswith("layer") and ".ln" not in name:
             params.tensors[name][...] = 0.0
     x = np.random.default_rng(9).standard_normal((6, 8))
-    emb, cache = enc.forward(params, cfg, x, train=True)
+    emb, cache = enc.forward(params, cfg, x[None], train=True)
     p = params.tensors
     z1 = x @ p["proj.fc1.W"] + p["proj.fc1.b"]
     bn1 = p["proj.bn1.gamma"] * (z1 - z1.mean(0)) / np.sqrt(z1.var(0) + enc.NORM_EPS)
@@ -133,15 +138,16 @@ def test_residual_wiring_smoke():
     bn2 = p["proj.bn2.gamma"] * (z2 - z2.mean(0)) / np.sqrt(z2.var(0) + enc.NORM_EPS)
     a2 = np.maximum(bn2 + p["proj.bn2.beta"], 0)
     expected = (a2 + enc.positional_encoding(6, cfg.model_dim)) @ p["out.W"] + p["out.b"]
-    assert np.allclose(emb.H, expected, atol=1e-12)
+    assert np.allclose(emb.H[0], expected, atol=1e-12)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 10)
-    emb, cache = enc.forward(params, cfg, np.random.default_rng(11).standard_normal((5, 8)),
+    emb, cache = enc.forward(params, cfg, np.random.default_rng(11).standard_normal((5, 8))[None],
                              train=True)
-    grads = enc.backward(params, cfg, cache, np.zeros_like(emb.Z))
+    grads = _zero_grads(params)
+    enc.backward(params, cfg, cache, np.zeros_like(emb.Z), grads)
     assert all(not g.any() for g in grads.values())
 
 
@@ -149,10 +155,10 @@ def test_backward_requires_cache():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 0)
     with pytest.raises(SeqclError):
-        enc.backward(params, cfg, {}, np.zeros((3, cfg.proj_out)))
-    emb, cache = enc.forward(params, cfg, np.zeros((3, 8)), train=False)
+        enc.backward(params, cfg, {}, np.zeros((1, 3, cfg.proj_out)), _zero_grads(params))
+    emb, cache = enc.forward(params, cfg, np.zeros((1, 3, 8)), train=False)
     with pytest.raises(SeqclError, match="train=True"):
-        enc.backward(params, cfg, cache, np.zeros_like(emb.Z))
+        enc.backward(params, cfg, cache, np.zeros_like(emb.Z), _zero_grads(params))
 
 
 @pytest.mark.parametrize("T", [128, 300])
@@ -161,8 +167,8 @@ def test_eval_attention_row_blocks_match_full_attention(monkeypatch, T):
     cfg = tiny_encoder_cfg(num_layers=2)
     params = enc.init_params(cfg, 14)
     # move the batch-norm running statistics off their initial values
-    enc.forward(params, cfg, np.random.default_rng(15).standard_normal((T, 8)), train=True)
-    x = np.random.default_rng(16).standard_normal((T, 8))
+    enc.forward(params, cfg, np.random.default_rng(15).standard_normal((T, 8))[None], train=True)
+    x = np.random.default_rng(16).standard_normal((T, 8))[None]
     tol = 0.0 if T <= enc.ATTN_ROWS else 1e-12
     blocked, cache = enc.forward(params, cfg, x)
     assert cache == {}
@@ -178,7 +184,7 @@ def test_long_video_eval_memory_bounded():
     cfg = enc.EncoderConfig(input_dim=32, model_dim=64, num_layers=2, num_heads=4,
                             ffn_dim=128, out_dim=32, proj_hidden=32, proj_out=32)
     params = enc.init_params(cfg, 17)
-    x = np.random.default_rng(18).standard_normal((5000, 32))
+    x = np.random.default_rng(18).standard_normal((5000, 32))[None]
     tracemalloc.start()
     try:
         emb, _ = enc.forward(params, cfg, x)
@@ -193,34 +199,105 @@ def test_backward_deterministic():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 12)
     x = np.random.default_rng(13).standard_normal((4, 8))
-    emb, cache = enc.forward(params, cfg, x, train=True)
-    g1 = enc.backward(params, cfg, cache, np.ones_like(emb.Z))
-    g2 = enc.backward(params, cfg, cache, np.ones_like(emb.Z))
+    emb, cache = enc.forward(params, cfg, x[None], train=True)
+    g1, g2 = _zero_grads(params), _zero_grads(params)
+    enc.backward(params, cfg, cache, np.ones_like(emb.Z), g1)
+    enc.backward(params, cfg, cache, np.ones_like(emb.Z), g2)
     for name in g1:
         assert np.array_equal(g1[name], g2[name])
 
 
-@pytest.mark.parametrize("seed,num_layers", [
-    pytest.param(seed, num_layers,
-                 id=f"{seed}-True" + ("" if num_layers == 1 else f"-{num_layers}layers"))
-    for num_layers in (1, 2) for seed in (0, 1)
+def _layers_id(num_layers):
+    return "" if num_layers == 1 else f"-{num_layers}layers"
+
+
+@pytest.mark.parametrize("seed,num_layers,views", [
+    *(pytest.param(seed, num_layers, 1, id=f"{seed}-True{_layers_id(num_layers)}")
+      for num_layers in (1, 2) for seed in (0, 1)),
+    *(pytest.param(2, num_layers, 2, id=f"pair-scl{_layers_id(num_layers)}")
+      for num_layers in (1, 2)),
 ])
-def test_gradients_match_finite_differences(seed, num_layers):
+def test_gradients_match_finite_differences(seed, num_layers, views):
     cfg = tiny_encoder_cfg(D=6, model_dim=8, num_heads=2, ffn_dim=12, out_dim=5,
                            proj_hidden=5, proj_out=4, num_layers=num_layers)
     params = enc.init_params(cfg, seed)
     rng = np.random.default_rng(100 + seed)
-    x = rng.standard_normal((5, 6))
-    w = rng.standard_normal((5, 4))  # fixed linear functional of Z
+    if views == 1:
+        x = rng.standard_normal((5, 6))[None]
+        w = rng.standard_normal((5, 4))  # fixed linear functional of Z
 
-    def loss_of(p):
-        e, _ = enc.forward(p, cfg, x, train=True)
-        return float((w * e.Z).sum() + 0.5 * (e.Z**2).sum())
+        def loss_and_grad(Z):
+            return float((w * Z).sum() + 0.5 * (Z**2).sum()), w + Z
+    else:  # two views of unequal content and timestamps through the SCL loss
+        x = rng.standard_normal((2, 5, 6))
+        s1, s2 = (np.sort(rng.choice(40, 5, replace=False)).astype(float) for _ in range(2))
+
+        def loss_and_grad(Z):
+            loss, (g1, g2) = scl_loss(*Z, s1, s2, SCLConfig(sigma2=10.0, tau=0.1))
+            return loss, np.stack((g1, g2))
 
     emb, cache = enc.forward(params, cfg, x, train=True)
-    analytic = enc.backward(params, cfg, cache, w + emb.Z)
-    numeric = fd_param_grads(lambda p: loss_of(p), params, h=1e-5)
+    analytic = _zero_grads(params)
+    enc.backward(params, cfg, cache, loss_and_grad(emb.Z)[1], analytic)
+    numeric = fd_param_grads(
+        lambda p: loss_and_grad(enc.forward(p, cfg, x, train=True)[0].Z)[0], params, h=1e-5)
     assert max_rel_err(analytic, numeric) < 1e-4
+
+
+def test_batched_train_forward_matches_single_views():
+    # one (3, T, D) call equals three N=1 calls bit for bit: outputs, running
+    # statistics, and gradients added view by view in batch order
+    cfg = tiny_encoder_cfg(num_layers=2)
+    batched, single = enc.init_params(cfg, 22), enc.init_params(cfg, 22)
+    rng = np.random.default_rng(23)
+    x, grad_Z = rng.standard_normal((3, 9, 8)), rng.standard_normal((3, 9, cfg.proj_out))
+    emb, cache = enc.forward(batched, cfg, x, train=True)
+    grads, expected = _zero_grads(batched), _zero_grads(single)
+    enc.backward(batched, cfg, cache, grad_Z, grads)
+    for v in range(3):
+        one, one_cache = enc.forward(single, cfg, x[v : v + 1], train=True)
+        assert np.array_equal(one.H[0], emb.H[v]) and np.array_equal(one.Z[0], emb.Z[v])
+        enc.backward(single, cfg, one_cache, grad_Z[v : v + 1], expected)
+    for name in single.buffers:
+        assert np.array_equal(batched.buffers[name], single.buffers[name]), name
+    for name in expected:
+        assert np.array_equal(grads[name], expected[name]), name
+
+
+def test_batched_eval_forward_matches_single_views():
+    # T=300 runs three query-row blocks per view
+    cfg = tiny_encoder_cfg(num_layers=2)
+    params = enc.init_params(cfg, 24)
+    rng = np.random.default_rng(25)
+    enc.forward(params, cfg, rng.standard_normal((1, 300, 8)), train=True)  # move BN stats
+    x = rng.standard_normal((2, 300, 8))
+    emb, cache = enc.forward(params, cfg, x)
+    assert cache == {} and emb.H.shape == (2, 300, cfg.out_dim)
+    for v in range(2):
+        one, _ = enc.forward(params, cfg, x[v : v + 1])
+        assert np.array_equal(one.H[0], emb.H[v]) and np.array_equal(one.Z[0], emb.Z[v])
+
+
+def test_backward_adds_into_grads():
+    cfg = tiny_encoder_cfg()
+    params = enc.init_params(cfg, 26)
+    rng = np.random.default_rng(27)
+    emb, cache = enc.forward(params, cfg, rng.standard_normal((1, 6, 8)), train=True)
+    grad_Z = rng.standard_normal(emb.Z.shape)
+    alone = _zero_grads(params)
+    enc.backward(params, cfg, cache, grad_Z, alone)
+    start = {name: rng.standard_normal(t.shape) for name, t in params.tensors.items()}
+    grads = {name: g.copy() for name, g in start.items()}
+    enc.backward(params, cfg, cache, grad_Z, grads)
+    for name in grads:
+        assert np.array_equal(grads[name], start[name] + alone[name]), name
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (8,), (1, 1, 6, 8)])
+def test_forward_needs_three_dimensional_input(shape):
+    cfg = tiny_encoder_cfg()
+    with pytest.raises(ConfigError, match="expected"):
+        enc.forward(enc.init_params(cfg, 0), cfg, np.zeros(shape))
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,9 +151,35 @@ def test_tau_matches_brute_force():
         assert kendalls_tau(e1, e2) == pytest.approx(brute_force_tau(nn))
 
 
+def test_tau_row_blocks_match_brute_force():
+    # signs are summed 128 rows at a time: one block, a full one plus 1-2 rows,
+    # and three blocks; a 4-frame palette makes tied neighbours
+    rng = np.random.default_rng(20)
+    palette = rng.standard_normal((4, 5))
+    for t1 in (128, 129, 130, 300):
+        e1, e2 = rng.standard_normal((t1, 5)), palette[rng.integers(0, 4, 9)]
+        nn = cosine_similarities(e1, e2).argmax(axis=1)
+        assert kendalls_tau(e1, e2) == pytest.approx(brute_force_tau(nn), abs=1e-15)
+
+
 def test_tau_requires_two_frames():
     with pytest.raises(ConfigError):
         kendalls_tau(np.ones((1, 3)), np.ones((4, 3)))
+
+
+def test_tau_memory_is_the_cosine_matrix():
+    # The (T1, T2) cosine matrix is 31 MiB here; a (T1, T1) sign matrix and its
+    # triangle gather would add about 45 MiB on top of it.
+    rng = np.random.default_rng(19)
+    e1, e2 = rng.standard_normal((2000, 8)), rng.standard_normal((2037, 8))
+    tracemalloc.start()
+    try:
+        tau = kendalls_tau(e1, e2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert -1 <= tau <= 1
+    assert peak < 48 * 2**20
 
 
 # --- AP@K ---
