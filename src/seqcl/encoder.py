@@ -12,6 +12,12 @@ A training forward keeps every layer's activations, including the (N, heads,
 T, T) attention weights, for `backward`. An eval forward keeps nothing, and
 computes attention ATTN_ROWS query rows at a time, so its memory per view is
 O(heads * ATTN_ROWS * T) plus O(T) activations rather than O(heads * T^2).
+
+The encoder computes in the dtype of its parameters: `forward` casts x, and
+`backward` casts the upstream gradient, to it, and every array it allocates
+follows. Training and checkpoints use float32; the float64 parameters that
+`init_params` returns are the reference the finite-difference tests hold the
+gradients to.
 """
 
 from __future__ import annotations
@@ -198,9 +204,9 @@ def _attn_forward(x, p, prefix, num_heads, train):
         for name in "qkv"
     )
     rows = T if train else ATTN_ROWS
-    ctx = np.empty((N, T, m))
+    ctx = np.empty((N, T, m), dtype=x.dtype)
     for start in range(0, T, rows):
-        attn = softmax(qh[:, :, start : start + rows] @ kh.swapaxes(-1, -2) / np.sqrt(hd))
+        attn = softmax(qh[:, :, start : start + rows] @ kh.swapaxes(-1, -2) / math.sqrt(hd))
         ctx[:, start : start + rows] = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, -1, m)
     cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx} if train else {}
     return _affine(ctx, p, f"{prefix}.o"), cache
@@ -215,7 +221,7 @@ def _attn_backward(dout, cache, p, prefix, num_heads, grads):
     dattn = dctx @ vh.swapaxes(-1, -2)
     dvh = attn.swapaxes(-1, -2) @ dctx
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores /= np.sqrt(hd)
+    dscores /= math.sqrt(hd)
     dqh = dscores @ kh
     dkh = dscores.swapaxes(-1, -2) @ qh
     return sum(
@@ -236,7 +242,7 @@ def forward(
     the running statistics by) each view's own statistics, and the returned
     cache holds what `backward` needs. At eval the cache is {}, and no
     Transformer layer's activations outlive it."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.tensors["proj.fc1.W"].dtype)
     if x.ndim != 3 or x.shape[2] != cfg.input_dim:
         raise ConfigError(f"expected (N, T, {cfg.input_dim}) input, got {x.shape}")
     T = x.shape[1]
@@ -248,7 +254,8 @@ def forward(
     bn2, cache["bn2"] = _batch_norm(_affine(a1, p, "proj.fc2"), params, "proj.bn2", train)
     cache["a1"], cache["bn1_out"], cache["bn2_out"] = a1, bn1, bn2
 
-    h = np.maximum(bn2, 0.0) + positional_encoding(T, cfg.model_dim)
+    h = np.maximum(bn2, 0.0)
+    h += positional_encoding(T, cfg.model_dim)
 
     for i in range(cfg.num_layers):
         lc: dict = {}
@@ -285,6 +292,7 @@ def backward(
     if "trunk" not in cache:
         raise SeqclError("backward needs the cache returned by a train=True forward")
     p = params.tensors
+    grad_Z = np.asarray(grad_Z, dtype=p["proj.fc1.W"].dtype)
 
     dga = _affine_backward(grad_Z, cache["ga"], p, "head.fc2", grads)
     dH = _affine_backward(dga * (cache["g1"] > 0), cache["H"], p, "head.fc1", grads)
@@ -413,7 +421,7 @@ def load_checkpoint(
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor {name!r} has non-finite values")
-        records[name] = arr.astype(np.float64)
+        records[name] = arr.astype(np.float32)
     missing = sorted(expected.keys() - records.keys())
     if missing:
         raise FormatError(f"{path}: missing tensors {missing}")

@@ -66,7 +66,10 @@ def embed_dataset(
     out = []
     for rec in records:
         emb, _ = enc.forward(params, cfg, rec.features[None], train=False)
-        out.append(unit_rows(emb.H[0], f"video {rec.id!r}: embedding")[0])
+        H = emb.H[0].astype(np.float64)  # metrics run in float64 whatever the encoder's dtype
+        if not np.isfinite(H).all():  # float32 overflows for features near its range
+            raise NumericError(f"video {rec.id!r}: embedding is not finite")
+        out.append(unit_rows(H, f"video {rec.id!r}: embedding")[0])
     return out
 
 

@@ -56,7 +56,8 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     if total_steps <= 0:
         raise ConfigError(f"total_steps must be > 0, got {total_steps}")
     step = min(max(step, 0), total_steps)
-    return 0.5 * base_lr * (1.0 + np.cos(np.pi * step / total_steps))
+    # a Python float: an np.float64 would promote float32 tensors in adam_step
+    return float(0.5 * base_lr * (1.0 + np.cos(np.pi * step / total_steps)))
 
 
 def adam_step(
@@ -180,13 +181,19 @@ def fit(
 ) -> tuple[TrainState, list[tuple[int, float, float]]]:
     """Full training run. Returns the final state and the (epoch, loss, lr) curve.
 
-    With resume=True and an existing checkpoint, picks up from its recorded
-    epoch (optimizer moments included).
+    Parameters, buffers and Adam moments are float32, so the encoder computes
+    in float32 and a checkpoint holds the state exactly. With resume=True and
+    an existing checkpoint, picks up from its recorded epoch (optimizer
+    moments included).
     """
     if resume and checkpoint_path and Path(checkpoint_path).exists():
         _, state = load_train_checkpoint(checkpoint_path)
     else:
-        state = TrainState.fresh(enc.init_params(enc_cfg, seed=optim_cfg.seed))
+        init = enc.init_params(enc_cfg, seed=optim_cfg.seed)
+        state = TrainState.fresh(enc.EncoderParams(
+            tensors={k: t.astype(np.float32) for k, t in init.tensors.items()},
+            buffers={k: b.astype(np.float32) for k, b in init.buffers.items()},
+        ))
     rng = np.random.default_rng([optim_cfg.seed, TRAIN_STREAM])
 
     batches = -(-len(dataset.train) // optim_cfg.videos_per_batch)

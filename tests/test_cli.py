@@ -63,6 +63,51 @@ def test_align_and_retrieve(workspace, capsys):
     assert len(lines) >= 3
 
 
+def _scale_test_video(workspace, scale):
+    """Train on the TINY data, then scale the first test video's features;
+    returns that video's id and the first train video's."""
+    tmp, cfg_path, _ = workspace
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path)])
+    manifest = json.loads((tmp / "data" / "dataset.json").read_text())
+    a, b = manifest["test"][0], manifest["train"][0]
+    path = tmp / "data" / f"{a}.fseq"
+    blob = path.read_bytes()
+    feats = np.frombuffer(blob[16:], dtype="<f4")
+    scaled = (feats.astype(np.float64) * (scale / np.abs(feats).max())).astype("<f4")
+    assert np.isfinite(scaled).all()
+    path.write_bytes(blob[:16] + scaled.tobytes())
+    return a, b
+
+
+def test_large_magnitude_features_stay_finite(workspace, capsys):
+    # features up to 1e30 are valid float32, and the float32 encoder must
+    # still give finite align and retrieve output for them
+    tmp, cfg_path, _ = workspace
+    a, b = _scale_test_video(workspace, 1e30)
+    capsys.readouterr()
+    out = tmp / "alignment"
+    assert main(["align", "--config", str(cfg_path), a, b, "--out", str(out)]) == 0
+    cost = float(capsys.readouterr().out.split("alignment cost ")[1].split(",")[0])
+    assert np.isfinite(cost)
+    assert main(["retrieve", "--config", str(cfg_path), a, "0", "-K", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    assert all(np.isfinite(float(line.split("score ")[1])) for line in lines)
+
+
+def test_features_near_float32_max_exit_numeric(workspace, capsys):
+    # at 1e38 the float32 encoder's first matmul overflows; that must be a
+    # numeric error, not NaN costs and scores with exit 0
+    tmp, cfg_path, _ = workspace
+    a, b = _scale_test_video(workspace, 1e38)
+    capsys.readouterr()
+    out = tmp / "alignment"
+    assert main(["align", "--config", str(cfg_path), a, b, "--out", str(out)]) == 5
+    assert main(["retrieve", "--config", str(cfg_path), a, "0", "-K", "3"]) == 5
+    assert f"video {a!r}: embedding is not finite" in capsys.readouterr().err
+
+
 def test_invalid_config_exit_code(workspace):
     _, cfg_path, _ = workspace
     assert main(["gen-data", "--config", str(cfg_path), "--sigma2", "0"]) == 3

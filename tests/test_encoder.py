@@ -15,6 +15,13 @@ def _zero_grads(params):
     return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
+def _cast(params, dtype):
+    return enc.EncoderParams(
+        tensors={name: t.astype(dtype) for name, t in params.tensors.items()},
+        buffers={name: b.astype(dtype) for name, b in params.buffers.items()},
+    )
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_encoder_cfg(model_dim=15)  # not divisible by heads, odd
@@ -244,13 +251,15 @@ def test_gradients_match_finite_differences(seed, num_layers, views):
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
-def test_batched_train_forward_matches_single_views():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_batched_train_forward_matches_single_views(dtype):
     # one (3, T, D) call equals three N=1 calls bit for bit: outputs, running
     # statistics, and gradients added view by view in batch order
     cfg = tiny_encoder_cfg(num_layers=2)
-    batched, single = enc.init_params(cfg, 22), enc.init_params(cfg, 22)
+    batched, single = (_cast(enc.init_params(cfg, 22), dtype) for _ in range(2))
     rng = np.random.default_rng(23)
-    x, grad_Z = rng.standard_normal((3, 9, 8)), rng.standard_normal((3, 9, cfg.proj_out))
+    x = rng.standard_normal((3, 9, 8)).astype(dtype)
+    grad_Z = rng.standard_normal((3, 9, cfg.proj_out)).astype(dtype)
     emb, cache = enc.forward(batched, cfg, x, train=True)
     grads, expected = _zero_grads(batched), _zero_grads(single)
     enc.backward(batched, cfg, cache, grad_Z, grads)
@@ -262,6 +271,59 @@ def test_batched_train_forward_matches_single_views():
         assert np.array_equal(batched.buffers[name], single.buffers[name]), name
     for name in expected:
         assert np.array_equal(grads[name], expected[name]), name
+
+
+def _arrays(tree):
+    """Every ndarray in a nest of dicts and lists, such as a forward cache."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    children = tree.values() if isinstance(tree, dict) else tree if isinstance(tree, list) else []
+    return [a for child in children for a in _arrays(child)]
+
+
+def test_float32_train_step_stays_float32():
+    # float32 parameters, float64 input: everything the step keeps or
+    # returns is float32, the cast of x included
+    cfg = tiny_encoder_cfg(num_layers=2)
+    params = _cast(enc.init_params(cfg, 30), np.float32)
+    rng = np.random.default_rng(31)
+    emb, cache = enc.forward(params, cfg, rng.standard_normal((2, 9, 8)), train=True)
+    grads = _zero_grads(params)
+    enc.backward(params, cfg, cache, rng.standard_normal(emb.Z.shape), grads)
+    arrays = _arrays(cache) + [emb.H, emb.Z] + list(params.buffers.values()) + list(grads.values())
+    assert len(arrays) > 50
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+
+PAPER_ENC = enc.EncoderConfig(input_dim=2048, model_dim=256, num_layers=3, num_heads=8,
+                              ffn_dim=1024, out_dim=128, proj_hidden=256, proj_out=128)
+BENCH_ENC = enc.EncoderConfig(input_dim=32, model_dim=64, num_layers=2, num_heads=4,
+                              ffn_dim=128, out_dim=32, proj_hidden=32, proj_out=32)
+
+
+@pytest.mark.parametrize("cfg, T", [(BENCH_ENC, 64), (PAPER_ENC, 240)], ids=["bench", "paper"])
+def test_float32_compute_matches_float64(cfg, T):
+    # both sides start from the same float32-representable parameters and
+    # input; only the arithmetic differs
+    p32 = _cast(enc.init_params(cfg, 32), np.float32)
+    p64 = _cast(p32, np.float64)
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((2, T, cfg.input_dim)).astype(np.float32)
+    s1, s2 = np.arange(T, dtype=float), np.arange(T, dtype=float) + T // 4
+    results = []
+    for params in (p32, p64):
+        emb, cache = enc.forward(params, cfg, x, train=True)
+        loss, grad_Z = scl_loss(*emb.Z, s1, s2, SCLConfig(sigma2=10.0, tau=0.1))
+        grads = _zero_grads(params)
+        enc.backward(params, cfg, cache, np.stack(grad_Z), grads)
+        results.append((emb.H, loss, grads))
+    (H32, loss32, g32), (H64, loss64, g64) = results
+    assert H32.dtype == np.float32 and H64.dtype == np.float64
+    assert np.abs(H32 - H64).max() <= 1e-5 * np.abs(H64).max()
+    assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+    # one global scale: some bias gradients are zero by construction (~1e-18)
+    scale = max(np.abs(g).max() for g in g64.values())
+    assert max(np.abs(g32[n] - g64[n]).max() for n in g64) <= 1e-5 * scale
 
 
 def test_batched_eval_forward_matches_single_views():

@@ -15,6 +15,7 @@ from seqcl.train import (
     cosine_lr,
     fit,
     load_train_checkpoint,
+    save_train_checkpoint,
     train_epoch,
 )
 
@@ -29,6 +30,11 @@ def test_cosine_lr_monotone_and_clamped():
     vals = [cosine_lr(1.0, s, 40) for s in range(41)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert cosine_lr(1.0, 60, 40) == vals[-1]
+
+
+def test_cosine_lr_is_a_python_float():
+    # an np.float64 lr would promote float32 tensors to float64 in adam_step
+    assert all(type(cosine_lr(1e-3, s, 100)) is float for s in (0, 37, 100))
 
 
 def _scalar_state(value=0.0):
@@ -63,6 +69,19 @@ def test_adam_rejects_nonfinite_grads():
     state = _scalar_state()
     with pytest.raises(NumericError, match="'w'"):
         adam_step(state, {"w": np.array([np.nan])}, OptimConfig(), lr=0.1)
+
+
+def test_adam_keeps_float32_state():
+    w = np.array([0.5, -1.0], dtype=np.float32)
+    params = enc.EncoderParams(tensors={"w": w}, buffers={})
+    state = TrainState.fresh(params)
+    cfg = OptimConfig(lr=0.01, weight_decay=0.1)
+    for _ in range(3):
+        adam_step(state, {"w": np.array([0.3, -2.0], dtype=np.float32)}, cfg,
+                  lr=cosine_lr(cfg.lr, state.step, 10))
+    for arr in (state.params.tensors["w"], state.m["w"], state.v["w"]):
+        assert arr.dtype == np.float32
+    assert state.params.tensors["w"] is w  # updated in place
 
 
 def test_adam_survives_extreme_grads():
@@ -137,7 +156,7 @@ def test_fit_zero_epochs_returns_init(tmp_path):
     init = enc.init_params(ecfg, optim.seed)
     assert curve == []
     for name in init.tensors:
-        assert np.array_equal(state.params.tensors[name], init.tensors[name])
+        assert np.array_equal(state.params.tensors[name], init.tensors[name].astype(np.float32))
 
 
 def test_fit_writes_curve_and_checkpoint(tmp_path):
@@ -148,9 +167,30 @@ def test_fit_writes_curve_and_checkpoint(tmp_path):
     lines = curve_path.read_text().strip().splitlines()
     assert lines[0] == "epoch,loss,lr"
     assert len(lines) == 1 + 3
+    assert all(float(line.split(",")[2]) >= 0 for line in lines[1:])  # lr is a plain number
     cfg2, state2 = load_train_checkpoint(ckpt)
     assert cfg2 == ecfg
     assert state2.epoch == 3 and state2.step > 0
+
+
+def test_train_checkpoint_round_trip_is_exact(tmp_path):
+    # fit trains float32 state, which the float32 file holds bit for bit
+    split, aug, ecfg, scl, optim = _tiny_setup(epochs=2)
+    state, _ = fit(split, aug, ecfg, scl, optim)
+    ckpt = tmp_path / "m.ckpt"
+    save_train_checkpoint(ckpt, ecfg, state)
+    cfg2, loaded = load_train_checkpoint(ckpt)
+    assert cfg2 == ecfg
+    assert (loaded.step, loaded.epoch) == (state.step, state.epoch) == (4, 2)
+    groups = [(loaded.params.tensors, state.params.tensors),
+              (loaded.params.buffers, state.params.buffers),
+              (loaded.m, state.m), (loaded.v, state.v)]
+    for back, saved in groups:
+        assert back.keys() == saved.keys()
+        for name in saved:
+            assert back[name].dtype == saved[name].dtype == np.float32, name
+            assert back[name].flags.writeable, name  # resume updates in place
+            assert np.array_equal(back[name], saved[name]), name
 
 
 def _small_train_checkpoint(path, extra_edit=None):
