@@ -28,15 +28,16 @@ class ProbeConfig:
 
 @dataclass
 class EvalReport:
-    """Metric values; tau and AP@K are None when there was nothing to average."""
+    """Metric values; accuracy is None when the train frames hold fewer than
+    two phase labels, tau and AP@K when there was nothing to average."""
 
-    classification_acc: float
+    classification_acc: float | None
     progression_r2: float
     kendalls_tau: float | None
     ap_at_k: dict[int, float | None]
 
     def __post_init__(self):
-        if not 0 <= self.classification_acc <= 1:
+        if self.classification_acc is not None and not 0 <= self.classification_acc <= 1:
             raise NumericError(f"accuracy out of range: {self.classification_acc}")
         if not self.progression_r2 <= 1 + 1e-9:
             raise NumericError(f"R^2 above 1 or NaN: {self.progression_r2}")
@@ -74,20 +75,40 @@ def embed_dataset(
 
 
 # --- linear probes ---
+# Each fit takes `probe.steps` full-batch gradient descent steps from zero on
+# X @ W + b, as theta = [W; b] on Xa = [X, 1] (its transpose, for classes).
 
 
-def _fit_linear(X, Y, probe, link=lambda logits: logits):
-    """Full-batch gradient descent from zero on a linear model X @ W + b whose
-    loss has gradient (link(X @ W + b) - Y) / n wrt its outputs: softmax
-    cross-entropy under `softmax`, half mean squared error under identity."""
-    n, d = X.shape
-    W = np.zeros((d, Y.shape[1]))
-    b = np.zeros(Y.shape[1])
+def fit_classifier(X: np.ndarray, y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
+    """(W, b) of multinomial logistic regression on labels 0..max(y), by GD on
+    the mean softmax cross-entropy. Class-major: theta is (C, d+1) and the
+    logits theta @ Xa^T are (C, n), so the softmax reduces elementwise across
+    C contiguous rows instead of over n rows of length C."""
+    n = X.shape[0]
+    Xa = np.column_stack((X, np.ones(n)))
+    XaT = np.ascontiguousarray(Xa.T)
+    target = np.eye(int(y.max()) + 1)[:, y]
+    theta = np.zeros((target.shape[0], Xa.shape[1]))
     for _ in range(probe.steps):
-        err = (link(X @ W + b) - Y) / n
-        W -= probe.lr * (X.T @ err)
-        b -= probe.lr * err.sum(axis=0)
-    return W, b
+        err = softmax(theta @ XaT, axis=0)
+        err -= target
+        theta -= probe.lr / n * (err @ Xa)
+    return theta[:, :-1].T, theta[:, -1]
+
+
+def fit_regressor(X: np.ndarray, Y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
+    """(W, b) of least squares by GD on half the mean squared error. The step
+    theta -= lr * Xa^T (Xa theta - Y) / n is theta -= lr * (G theta - c) with
+    G = Xa^T Xa / n and c = Xa^T Y / n, so the n frames enter once and each
+    step costs (d+1)^2 per target."""
+    n = X.shape[0]
+    Xa = np.column_stack((X, np.ones(n)))
+    G = Xa.T @ Xa / n
+    c = Xa.T @ Y / n
+    theta = np.zeros((Xa.shape[1], Y.shape[1]))
+    for _ in range(probe.steps):
+        theta -= probe.lr * (G @ theta - c)
+    return theta[:-1], theta[-1]
 
 
 def linear_probe_classification(
@@ -97,15 +118,11 @@ def linear_probe_classification(
     test_y: np.ndarray,
     probe: ProbeConfig = ProbeConfig(),
 ) -> float:
-    """Multinomial logistic regression by full-batch gradient descent on the
-    frozen embeddings; returns mean per-frame accuracy on the test frames."""
-    classes = np.unique(train_y)
-    if classes.size < 2:
+    """Mean per-frame test accuracy of `fit_classifier` on the train frames."""
+    if np.unique(train_y).size < 2:
         raise ConfigError("probe training data contains a single class")
-    onehot = np.eye(int(classes.max()) + 1)[train_y]
-    W, b = _fit_linear(train_X, onehot, probe, softmax)
-    pred = (test_X @ W + b).argmax(axis=1)
-    return float((pred == test_y).mean())
+    W, b = fit_classifier(train_X, train_y, probe)
+    return float(((test_X @ W + b).argmax(axis=1) == test_y).mean())
 
 
 def progression_targets(record: VideoRecord, num_phases: int) -> np.ndarray:
@@ -147,9 +164,9 @@ def linear_probe_progression(
     test_Y: np.ndarray,
     probe: ProbeConfig = ProbeConfig(),
 ) -> float:
-    """Linear least-squares regressor fit by gradient descent; average R^2
-    over target components on the test frames."""
-    W, b = _fit_linear(train_X, train_Y, probe)
+    """Average test R^2 over target components of `fit_regressor` on the train
+    frames."""
+    W, b = fit_regressor(train_X, train_Y, probe)
     return r_squared(test_X @ W + b, test_Y)
 
 
@@ -300,13 +317,15 @@ def evaluate(
     Ks: tuple[int, ...] = (5, 10, 15),
 ) -> EvalReport:
     """All four metrics on a dataset split with frozen encoder parameters.
-    tau and AP@K are None when no two test videos share an action label."""
+    Accuracy is None when the train frames hold a single phase label, tau and
+    AP@K when no two test videos share an action label."""
     train_embs = embed_dataset(params, cfg, dataset.train)
     test_embs = embed_dataset(params, cfg, dataset.test)
     train_X, train_y, train_Y = _pool_frames(dataset.train, train_embs, dataset.num_phases)
     test_X, test_y, test_Y = _pool_frames(dataset.test, test_embs, dataset.num_phases)
 
-    acc = linear_probe_classification(train_X, train_y, test_X, test_y, probe)
+    acc = (linear_probe_classification(train_X, train_y, test_X, test_y, probe)
+           if np.unique(train_y).size > 1 else None)
     r2 = linear_probe_progression(train_X, train_Y, test_X, test_Y, probe)
 
     # Each test video is compared with the other test videos of its action:

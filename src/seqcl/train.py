@@ -4,7 +4,7 @@ decay without restarts, batched view-pair epochs and checkpointing."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -184,10 +184,16 @@ def fit(
     Parameters, buffers and Adam moments are float32, so the encoder computes
     in float32 and a checkpoint holds the state exactly. With resume=True and
     an existing checkpoint, picks up from its recorded epoch (optimizer
-    moments included).
+    moments included); a checkpoint whose encoder config differs from enc_cfg
+    is a ConfigError naming the fields that differ.
     """
     if resume and checkpoint_path and Path(checkpoint_path).exists():
-        _, state = load_train_checkpoint(checkpoint_path)
+        stored, state = load_train_checkpoint(checkpoint_path)
+        given = asdict(enc_cfg)
+        differ = {k: (v, given[k]) for k, v in asdict(stored).items() if v != given[k]}
+        if differ:
+            raise ConfigError(f"{checkpoint_path}: cannot resume with a different encoder, "
+                              f"(checkpoint, given) per field: {differ}")
     else:
         init = enc.init_params(enc_cfg, seed=optim_cfg.seed)
         state = TrainState.fresh(enc.EncoderParams(

@@ -48,6 +48,17 @@ def test_pipeline_end_to_end(workspace, capsys):
     assert report["config"]["seed"] == 5  # effective config echoed for provenance
 
 
+def test_one_phase_dataset_reports_null_accuracy(workspace, capsys):
+    tmp, cfg_path, cfg = workspace
+    cfg["data"] = dict(cfg["data"], num_phases=1)
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("gen-data", "train", "eval"):
+        assert main([command, "--config", str(cfg_path)]) == 0, command
+    report = json.loads((tmp / "report.json").read_text())
+    assert report["classification_acc"] is None
+    assert np.isfinite(report["progression_r2"])
+
+
 def test_align_and_retrieve(workspace, capsys):
     tmp, cfg_path, cfg = workspace
     main(["gen-data", "--config", str(cfg_path)])

@@ -16,6 +16,8 @@ from seqcl.eval import (
     dtw_align,
     embed_dataset,
     evaluate,
+    fit_classifier,
+    fit_regressor,
     kendalls_tau,
     linear_probe_classification,
     linear_probe_progression,
@@ -24,7 +26,7 @@ from seqcl.eval import (
     retrieve_frames,
     write_pgm,
 )
-from seqcl.loss import cosine_similarities
+from seqcl.loss import cosine_similarities, softmax
 
 
 # --- embedding ---
@@ -109,6 +111,59 @@ def test_progression_probe_matches_normal_equations():
     W, *_ = np.linalg.lstsq(Xa, Y, rcond=None)
     r2_ls = r_squared(Xa @ W, Y)
     assert abs(r2_gd - r2_ls) < 1e-3
+
+
+def reference_fit_linear(X, Y, probe, link=lambda logits: logits):
+    """Per-frame full-batch gradient descent from zero on X @ W + b, whose loss
+    has gradient (link(X @ W + b) - Y) / n wrt its outputs: the iterates that
+    `fit_classifier` (softmax link, one-hot Y) and `fit_regressor` (identity
+    link) must reproduce up to rounding."""
+    n, d = X.shape
+    W = np.zeros((d, Y.shape[1]))
+    b = np.zeros(Y.shape[1])
+    for _ in range(probe.steps):
+        err = (link(X @ W + b) - Y) / n
+        W -= probe.lr * (X.T @ err)
+        b -= probe.lr * err.sum(axis=0)
+    return W, b
+
+
+def _probe_cases():
+    rng = np.random.default_rng(30)
+    X, y = rng.standard_normal((80, 6)), rng.integers(0, 3, 80)
+    for steps in (1, 7, 500):
+        yield pytest.param(X, y, steps, id=f"steps{steps}")
+    yield pytest.param(X, np.array([0, 2, 5])[y], 500, id="labels025")
+    # a constant and a duplicated column: the Gram matrix is singular
+    yield pytest.param(np.column_stack((X, np.full(80, 0.7), X[:, 2])), y, 500, id="singular")
+    yield pytest.param(rng.standard_normal((9, 14)), np.arange(9) % 3, 500, id="n_lt_d")
+
+
+@pytest.mark.parametrize("X, y, steps", _probe_cases())
+def test_probes_match_per_frame_reference(X, y, steps):
+    rng = np.random.default_rng(31)
+    probe = ProbeConfig(steps=steps)
+    n, d = X.shape
+    Y = rng.standard_normal((n, 3))
+    test_X, test_y = rng.standard_normal((50, d)), rng.integers(0, 3, 50)
+    test_Y = rng.standard_normal((50, 3))
+    fits = [
+        (fit_classifier(X, y, probe),
+         reference_fit_linear(X, np.eye(y.max() + 1)[y], probe, softmax),
+         linear_probe_classification(X, y, test_X, test_y, probe),
+         lambda W, b: float(((test_X @ W + b).argmax(axis=1) == test_y).mean())),
+        (fit_regressor(X, Y, probe),
+         reference_fit_linear(X, Y, probe),
+         linear_probe_progression(X, Y, test_X, test_Y, probe),
+         lambda W, b: r_squared(test_X @ W + b, test_Y)),
+    ]
+    for (W, b), (W_ref, b_ref), metric, reference_metric in fits:
+        assert W.shape == W_ref.shape and b.shape == b_ref.shape
+        scale = np.abs(W_ref).max()
+        assert scale > 0
+        assert np.abs(W - W_ref).max() <= 1e-12 * scale
+        assert np.abs(b - b_ref).max() <= 1e-12 * scale
+        assert metric == pytest.approx(reference_metric(W_ref, b_ref), rel=0, abs=1e-12)
 
 
 def test_progression_targets_shape_and_values():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,19 @@ def test_fit_resume(tmp_path):
     state, curve = fit(split, aug, ecfg, scl, optim, checkpoint_path=ckpt, resume=True)
     assert curve == []
     assert state.epoch == 4
+
+
+def test_fit_resume_rejects_a_different_encoder(tmp_path):
+    split, aug, ecfg, scl, optim = _tiny_setup(epochs=2)
+    ckpt = tmp_path / "m.ckpt"
+    fit(split, aug, ecfg, scl, dataclasses.replace(optim, epochs=1), checkpoint_path=ckpt)
+    blob = ckpt.read_bytes()
+    other = dataclasses.replace(ecfg, num_heads=1, ffn_dim=16)
+    with pytest.raises(ConfigError, match=r"num_heads.*ffn_dim|ffn_dim.*num_heads"):
+        fit(split, aug, other, scl, optim, checkpoint_path=ckpt, resume=True)
+    assert ckpt.read_bytes() == blob  # the checkpoint keeps its encoder
+    state, curve = fit(split, aug, ecfg, scl, optim, checkpoint_path=ckpt, resume=True)
+    assert [epoch for epoch, _, _ in curve] == [1] and state.epoch == 2
 
 
 def test_baseline_loss_training_runs():
