@@ -1,7 +1,8 @@
 """Command-line pipeline: gen-data, train, eval, align, retrieve.
 
 Exit codes: 0 success, 2 usage, 3 invalid config, 4 I/O or file format,
-5 numerical failure.
+5 numerical failure. A `MemoryError`, which a config with sizes too large to
+allocate raises, also exits 3, as does any other `SeqclError`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import eval as eval_mod
 from . import train as train_mod
 from .config import RunConfig, load_config
 from .encoder import load_checkpoint
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, SeqclError
 from .loss import cosine_similarities
 
 EXIT_USAGE = 2
@@ -161,15 +162,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (FormatError, FileNotFoundError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: config: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SeqclError as exc:  # ConfigError, and any error of no narrower class
+        print(f"error: config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return 0
 
 

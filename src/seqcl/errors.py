@@ -1,9 +1,9 @@
 """Exception hierarchy, and the field validator of every config dataclass.
 
-The `except` ladder of `cli.main` maps ConfigError to `EXIT_CONFIG` (3),
-FormatError and OSError to `EXIT_IO` (4), and NumericError to
-`EXIT_NUMERIC` (5). It does not catch the `SeqclError` base. Usage errors
-exit with `EXIT_USAGE` (2) from argparse."""
+The `except` ladder of `cli.main` maps FormatError and OSError to `EXIT_IO`
+(4), NumericError to `EXIT_NUMERIC` (5), and MemoryError, ConfigError and
+any other SeqclError to `EXIT_CONFIG` (3). Usage errors exit with
+`EXIT_USAGE` (2) from argparse."""
 
 import math
 import operator

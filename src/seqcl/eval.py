@@ -257,33 +257,55 @@ def retrieve_frames(
 
 def dtw_align(sim: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     """Minimal-cost monotone alignment path on cost 1 - sim with steps
-    down/right/diagonal; ties prefer the diagonal, then the vertical step."""
+    down/right/diagonal; ties prefer the diagonal, then the vertical step.
+    Each cell takes the first minimum of its (diagonal, vertical, horizontal)
+    options, and a NaN option counts as the minimum, as `np.argmin` rules.
+
+    Beyond `sim` (as float64), this holds the int8 predecessor of each cell
+    and three length-t1 float64 buffers: the accumulated cost on anti-diagonals
+    d-2, d-1 and d, indexed by row."""
     if sim.size == 0:
         raise ConfigError("empty similarity matrix")
+    sim = np.ascontiguousarray(sim, dtype=np.float64)
     t1, t2 = sim.shape
-    cost = 1.0 - np.asarray(sim, dtype=np.float64)
-    acc = np.empty((t1, t2))
     # predecessor: 0 diagonal, 1 vertical (i-1, j), 2 horizontal (i, j-1)
     prev = np.zeros((t1, t2), dtype=np.int8)
-    acc[0, :] = np.cumsum(cost[0, :])  # accumulate adds strictly left to right
-    acc[:, 0] = np.cumsum(cost[:, 0])
     prev[0, 1:] = 2
     prev[1:, 0] = 1
+    top = np.cumsum(1.0 - sim[0, :])  # accumulate adds strictly left to right
+    left = np.cumsum(1.0 - sim[:, 0])
+    older, old, new = np.empty(t1), np.empty(t1), np.empty(t1)
+    old[0] = top[0]
     # Cells with i + j = d depend only on diagonals d-1 and d-2, so each
-    # anti-diagonal is one vector step. In the row-major flat arrays its cells
-    # are a slice with stride t2 - 1, and each predecessor is the same slice
-    # shifted back by t2 + 1 (diagonal), t2 (vertical) or 1 (horizontal).
-    acc_f, prev_f, cost_f = acc.reshape(-1), prev.reshape(-1), cost.reshape(-1)
-    interior = range(2, t1 + t2 - 1) if t1 > 1 and t2 > 1 else ()
-    for d in interior:
+    # anti-diagonal is one vector step. Cell (i, d - i) finds its diagonal and
+    # vertical options in rows i-1 of diagonals d-2 and d-1, and its horizontal
+    # option in row i of diagonal d-1. In the row-major flat arrays the
+    # diagonal's interior cells are a slice with stride t2 - 1.
+    sim_f, prev_f = sim.reshape(-1), prev.reshape(-1)
+    for d in range(1, t1 + t2 - 1):
         first, last = max(1, d - t2 + 1), min(t1 - 1, d - 1)
-        start, stop = first * t2 + d - first, last * t2 + d - last + 1
-        options = np.stack([acc_f[start - back : stop - back : t2 - 1]
-                            for back in (t2 + 1, t2, 1)])
-        best = options.argmin(axis=0)  # first minimum keeps the preference order
-        cells = slice(start, stop, t2 - 1)
-        acc_f[cells] = np.take_along_axis(options, best[None], axis=0)[0] + cost_f[cells]
-        prev_f[cells] = best
+        if first <= last:
+            diag, vert, horiz = older[first - 1 : last], old[first - 1 : last], old[first : last + 1]
+            start = first * t2 + d - first
+            cells = slice(start, start + (last - first) * (t2 - 1) + 1, t2 - 1)
+            # b replaces a when (a == a) & ~(b >= a): b is smaller, or the
+            # first NaN. np.minimum yields the same value as that choice: it
+            # keeps a NaN, and no cost 1.0 - s is -0.0, so equal options
+            # have equal bits.
+            take_vert = (diag == diag) & ~(vert >= diag)
+            best = np.minimum(diag, vert, out=new[first : last + 1])
+            take_horiz = (best == best) & ~(horiz >= best)
+            np.minimum(best, horiz, out=best)
+            best += 1.0 - sim_f[cells]
+            take_vert &= ~take_horiz
+            step = prev_f[cells]  # 2 * take_horiz + take_vert
+            np.add(take_horiz, take_horiz, out=step, dtype=np.int8)
+            step += take_vert
+        if d < t2:
+            new[0] = top[d]
+        if d < t1:
+            new[d] = left[d]
+        older, old, new = old, new, older
 
     path = [(t1 - 1, t2 - 1)]
     i, j = t1 - 1, t2 - 1
@@ -297,7 +319,7 @@ def dtw_align(sim: np.ndarray) -> tuple[list[tuple[int, int]], float]:
             j -= 1
         path.append((i, j))
     path.reverse()
-    return path, float(acc[t1 - 1, t2 - 1])
+    return path, float(old[t1 - 1])
 
 
 # --- dataset-level evaluation ---
@@ -354,15 +376,20 @@ def evaluate(
 
 def write_pgm(matrix: np.ndarray, path: str | Path) -> None:
     """8-bit grayscale PGM (P5) of a finite matrix, min-max scaled to [0, 255];
-    a constant matrix is all black."""
-    m = np.asarray(matrix, dtype=np.float64)
-    lo, hi = m.min(), m.max()
-    m = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
-    gray = np.clip(m * 255.0, 0, 255).astype(np.uint8)
-    h, w = gray.shape
+    a constant matrix is all black. Scales and writes 64 rows at a time, so
+    it holds one float64 block of rows beyond the matrix."""
+    m = np.asarray(matrix)
+    h, w = m.shape
+    lo, hi = np.float64(m.min()), np.float64(m.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError(f"heatmap matrix is not finite: min {lo}, max {hi}")
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(gray.tobytes())
+        rows = 64
+        for top in range(0, h, rows):
+            block = np.asarray(m[top : top + rows], dtype=np.float64)
+            block = np.zeros_like(block) if hi == lo else (block - lo) / (hi - lo)
+            f.write(np.clip(block * 255.0, 0, 255).astype(np.uint8).tobytes())
 
 
 def write_path_csv(path_pairs: list[tuple[int, int]], path: str | Path) -> None:

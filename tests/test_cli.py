@@ -7,8 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_config_blob
+from seqcl import cli
 from seqcl import encoder as enc
 from seqcl.cli import main
+from seqcl.errors import SeqclError
 
 TINY = {
     "seed": 5,
@@ -181,6 +183,24 @@ def test_missing_checkpoint_exit_code(workspace):
 
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["gen-data", "--config", str(tmp_path / "nope.json")]) == 3
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12, 8)"),
+    MemoryError(),
+    SeqclError("an error of no narrower class"),
+])
+def test_last_resort_errors_exit_config(workspace, capsys, monkeypatch, error):
+    _, cfg_path, _ = workspace
+
+    def fail(cfg, args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
+    assert main(["gen-data", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert str(error) in err and "Traceback" not in err
 
 
 def test_unknown_flag_usage_exit_code(workspace):

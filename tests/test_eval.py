@@ -430,9 +430,14 @@ def _dtw_cases():
             yield rng.integers(0, levels, shape) / (levels - 1)
     yield np.zeros((30, 45))  # every step ties everywhere
     yield np.asfortranarray(rng.random((17, 23)))
-    with_nan = rng.random((12, 15))
-    with_nan[4, 6] = np.nan
-    yield with_nan
+    for shape in ((150, 7), (7, 150), (2, 300), (300, 2)):  # tall and wide
+        yield rng.random(shape)
+    for cell in ((4, 6), (0, 0), (0, 9), (8, 0), (11, 14)):  # NaN inside, at the edges, last
+        with_nan = rng.random((12, 15))
+        with_nan[cell] = np.nan
+        yield with_nan
+    yield rng.random((20, 31)).astype(np.float32)
+    yield rng.integers(-1, 2, (13, 17))
 
 
 def test_dtw_equals_cell_by_cell_reference():
@@ -441,6 +446,21 @@ def test_dtw_equals_cell_by_cell_reference():
         ref_path, ref_cost = reference_dtw(sim)
         assert path == ref_path, sim.shape
         assert cost == ref_cost or (np.isnan(cost) and np.isnan(ref_cost)), sim.shape
+
+
+def test_dtw_memory_is_one_byte_per_cell():
+    # Beyond sim (31 MiB), the int8 predecessors are 3.9 MiB; float64 cost
+    # and accumulated-cost matrices would add 62 MiB.
+    rng = np.random.default_rng(15)
+    sim = cosine_similarities(rng.standard_normal((2000, 32)), rng.standard_normal((2037, 32)))
+    tracemalloc.start()
+    try:
+        path, _ = dtw_align(sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path[-1] == (1999, 2036)
+    assert peak < 8 * 2**20
 
 
 # --- report-level ---
@@ -569,6 +589,45 @@ def test_zero_norm_row_is_numeric_error():
         ap_at_k(np.ones(3), 0, zero, np.zeros(2, dtype=int), (1,))
     with pytest.raises(NumericError):
         retrieve_frames(np.ones(3), {"q": np.ones((1, 3)), "c": zero}, "q", K=1)
+
+
+def reference_pgm(matrix):
+    """The PGM bytes of `write_pgm`, scaled as one float64 matrix."""
+    m = np.asarray(matrix, dtype=np.float64)
+    lo, hi = m.min(), m.max()
+    m = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
+    gray = np.clip(m * 255.0, 0, 255).astype(np.uint8)
+    return f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii") + gray.tobytes()
+
+
+def test_write_pgm_row_blocks_match_one_matrix(tmp_path):
+    rng = np.random.default_rng(16)
+    p = tmp_path / "heat.pgm"
+    for m in (rng.standard_normal((300, 7)), rng.standard_normal((7, 300)),
+              rng.standard_normal((129, 40)).astype(np.float32),
+              rng.integers(-3, 4, (65, 9)), np.full((70, 3), 0.25),
+              np.asfortranarray(rng.random((100, 11)))):
+        write_pgm(m, p)
+        assert p.read_bytes() == reference_pgm(m), m.shape
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_write_pgm_rejects_non_finite(tmp_path, bad):
+    m = np.random.default_rng(17).random((90, 5))
+    m[70, 2] = bad
+    with pytest.raises(NumericError, match="not finite"):
+        write_pgm(m, tmp_path / "heat.pgm")
+
+
+def test_write_pgm_memory_is_one_block(tmp_path):
+    m = np.random.default_rng(18).random((2000, 2037))
+    tracemalloc.start()
+    try:
+        write_pgm(m, tmp_path / "heat.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_write_pgm(tmp_path):
