@@ -138,11 +138,10 @@ def cmd_align(cfg: RunConfig, args) -> None:
 
 def cmd_retrieve(cfg: RunConfig, args) -> None:
     records, enc_cfg, params = _load_videos(cfg, args.video)
-    embs = dict(zip(records, eval_mod.embed_dataset(params, enc_cfg, list(records.values()))))
-    query = embs[args.video]
-    if not 0 <= args.frame < query.shape[0]:
+    if not 0 <= args.frame < records[args.video].num_frames:
         raise ConfigError(f"frame {args.frame} out of range for {args.video}")
-    hits = eval_mod.retrieve_frames(query[args.frame], embs, args.video, args.K)
+    embs = dict(zip(records, eval_mod.embed_dataset(params, enc_cfg, list(records.values()))))
+    hits = eval_mod.retrieve_frames(embs[args.video][args.frame], embs, args.video, args.K)
     for rank, (vid, frame, score) in enumerate(hits, 1):
         print(f"{rank}\t{vid}\tframe {frame}\tscore {score:.6f}")
 

@@ -8,10 +8,10 @@ backward pass is exact and is held to a finite-difference contract in the
 tests. Normalization in the projection block is batch norm over the T frames
 of a view (batch statistics while training, running statistics at eval).
 
-A training forward keeps every layer's activations, including the (N, heads,
-T, T) attention weights, for `backward`. An eval forward keeps nothing, and
-computes attention ATTN_ROWS query rows at a time, so its memory per view is
-O(heads * ATTN_ROWS * T) plus O(T) activations rather than O(heads * T^2).
+Attention runs ATTN_ROWS query rows at a time, in training and at eval: its
+memory per view is O(heads * ATTN_ROWS * T), not O(heads * T^2). A training
+forward keeps every layer's activations but not the attention weights, which
+`backward` recomputes block by block; an eval forward keeps nothing.
 
 The encoder computes in the dtype of its parameters: `forward` casts x, and
 `backward` casts the upstream gradient, to it, and every array it allocates
@@ -37,7 +37,7 @@ CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
 NORM_EPS = 1e-5  # batch norm and layer norm
 BN_MOMENTUM = 0.1
-ATTN_ROWS = 128  # query rows per attention block at eval
+ATTN_ROWS = 128  # query rows per attention block
 
 
 @dataclass
@@ -58,7 +58,7 @@ class EncoderConfig:
                 f"model_dim={self.model_dim} not divisible by num_heads={self.num_heads}"
             )
         if self.model_dim % 2 != 0:
-            raise ConfigError(f"model_dim must be even for sin/cos encoding")
+            raise ConfigError(f"model_dim must be even for sin/cos encoding, got {self.model_dim}")
 
 
 @dataclass
@@ -189,13 +189,19 @@ def _batch_norm(x, params, name, train):
     return out, cache
 
 
-def _attn_forward(x, p, prefix, num_heads, train):
-    """Multi-head self-attention over the T frames of each of x's N views. A
-    query row's softmax depends on that row alone, so rows go in blocks along
-    T: all T at once while training, whose (N, heads, T, T) weights the cache
-    keeps for backward, and ATTN_ROWS at a time at eval, with an empty cache.
-    BLAS may round a block's products differently from the whole matrix's;
-    with T <= ATTN_ROWS there is one block either way."""
+def _attn_blocks(qh, kh):
+    """Yield (rows, softmax of their scaled scores) per block of ATTN_ROWS
+    query rows. BLAS may round a block's products differently from the whole
+    matrix's; forward and backward share the blocks, so they agree bit for bit."""
+    T, hd = qh.shape[-2:]
+    for start in range(0, T, ATTN_ROWS):
+        rows = slice(start, start + ATTN_ROWS)
+        yield rows, softmax(qh[:, :, rows] @ kh.swapaxes(-1, -2) / math.sqrt(hd))
+
+
+def _attn_forward(x, p, prefix, num_heads):
+    """Multi-head self-attention over the T frames of each of x's N views, in
+    `_attn_blocks`. The cache keeps q, k, v and the context, not the weights."""
     N, T, m = x.shape
     hd = m // num_heads
     # (N, heads, T, head_dim)
@@ -203,27 +209,27 @@ def _attn_forward(x, p, prefix, num_heads, train):
         _affine(x, p, f"{prefix}.{name}").reshape(N, T, num_heads, hd).transpose(0, 2, 1, 3)
         for name in "qkv"
     )
-    rows = T if train else ATTN_ROWS
     ctx = np.empty((N, T, m), dtype=x.dtype)
-    for start in range(0, T, rows):
-        attn = softmax(qh[:, :, start : start + rows] @ kh.swapaxes(-1, -2) / math.sqrt(hd))
-        ctx[:, start : start + rows] = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, -1, m)
-    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx} if train else {}
+    for rows, attn in _attn_blocks(qh, kh):
+        ctx[:, rows] = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, -1, m)
+    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "ctx": ctx}
     return _affine(ctx, p, f"{prefix}.o"), cache
 
 
 def _attn_backward(dout, cache, p, prefix, num_heads, grads):
-    x, qh, kh, vh, attn = cache["x"], cache["qh"], cache["kh"], cache["vh"], cache["attn"]
+    x, qh, kh, vh = cache["x"], cache["qh"], cache["kh"], cache["vh"]
     N, T, m = x.shape
     hd = m // num_heads
     dctx = _affine_backward(dout, cache["ctx"], p, f"{prefix}.o", grads)
     dctx = dctx.reshape(N, T, num_heads, hd).transpose(0, 2, 1, 3)
-    dattn = dctx @ vh.swapaxes(-1, -2)
-    dvh = attn.swapaxes(-1, -2) @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores /= math.sqrt(hd)
-    dqh = dscores @ kh
-    dkh = dscores.swapaxes(-1, -2) @ qh
+    dqh, dkh, dvh = np.empty_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+    for rows, attn in _attn_blocks(qh, kh):
+        dattn = dctx[:, :, rows] @ vh.swapaxes(-1, -2)
+        dvh += attn.swapaxes(-1, -2) @ dctx[:, :, rows]
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dscores /= math.sqrt(hd)
+        dqh[:, :, rows] = dscores @ kh
+        dkh += dscores.swapaxes(-1, -2) @ qh[:, :, rows]
     return sum(
         _affine_backward(d.transpose(0, 2, 1, 3).reshape(N, T, m), x, p, f"{prefix}.{n}", grads)
         for n, d in (("q", dqh), ("k", dkh), ("v", dvh))
@@ -260,7 +266,7 @@ def forward(
     for i in range(cfg.num_layers):
         lc: dict = {}
         norm1, lc["ln1"] = _norm_forward(h, p, f"layer{i}.ln1", -1)
-        attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads, train)
+        attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads)
         h = h + attn
 
         lc["norm2"], lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", -1)
@@ -426,14 +432,7 @@ def load_checkpoint(
     if missing:
         raise FormatError(f"{path}: missing tensors {missing}")
 
-    tensors: dict[str, np.ndarray] = {}
-    buffers: dict[str, np.ndarray] = {}
-    extra: dict[str, np.ndarray] = {}
-    for name, arr in records.items():
-        if name.startswith("buffer."):
-            buffers[name[len("buffer."):]] = arr
-        elif name.startswith("extra."):
-            extra[name[len("extra."):]] = arr
-        else:
-            tensors[name] = arr
+    buffers = {n.removeprefix("buffer."): a for n, a in records.items() if n.startswith("buffer.")}
+    extra = {n.removeprefix("extra."): a for n, a in records.items() if n.startswith("extra.")}
+    tensors = {n: a for n, a in records.items() if not n.startswith(("buffer.", "extra."))}
     return cfg, EncoderParams(tensors=tensors, buffers=buffers), extra

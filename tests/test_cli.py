@@ -10,6 +10,7 @@ from conftest import rewrite_config_blob
 from seqcl import cli
 from seqcl import encoder as enc
 from seqcl.cli import main
+from seqcl.data import load_dataset
 from seqcl.errors import SeqclError
 
 TINY = {
@@ -109,9 +110,11 @@ def test_large_magnitude_features_stay_finite(workspace, capsys):
     assert all(np.isfinite(float(line.split("score ")[1])) for line in lines)
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_features_near_float32_max_exit_numeric(workspace, capsys):
     # at 1e38 the float32 encoder's first matmul overflows; that must be a
-    # numeric error, not NaN costs and scores with exit 0
+    # numeric error, not NaN costs and scores with exit 0. Its overflow
+    # warnings stay printed, not errors, until the encoder stops raising them.
     tmp, cfg_path, _ = workspace
     a, b = _scale_test_video(workspace, 1e38)
     capsys.readouterr()
@@ -235,6 +238,28 @@ def test_align_embeds_only_the_two_videos(workspace, monkeypatch):
     assert main([*argv, "--out", str(tmp / "alignment")]) == 0
     assert calls == [False, False]
     assert main([*argv[:3], "nope", argv[4]]) == 4
+
+
+def test_retrieve_checks_frame_before_embedding(workspace, monkeypatch, capsys):
+    tmp, cfg_path, _ = workspace
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path)])
+    split = load_dataset(tmp / "data")
+    video = split.test[0]
+    forward, calls = enc.forward, []
+
+    def counted(*args, **kwargs):
+        calls.append(video.id)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "forward", counted)
+    argv = ["retrieve", "--config", str(cfg_path), video.id]
+    for frame in (-1, video.num_frames):
+        assert main([*argv, str(frame)]) == 3
+        assert f"frame {frame} out of range" in capsys.readouterr().err
+    assert calls == []
+    assert main([*argv, str(video.num_frames - 1)]) == 0
+    assert len(calls) == len(split.train) + len(split.test)
 
 
 def test_repeat_runs_byte_identical(workspace):

@@ -31,6 +31,11 @@ def test_config_validation():
         tiny_encoder_cfg(num_heads=2.0)
 
 
+def test_odd_model_dim_error_names_the_value():
+    with pytest.raises(ConfigError, match="model_dim must be even for sin/cos encoding, got 9"):
+        tiny_encoder_cfg(model_dim=9, num_heads=3)
+
+
 def test_init_deterministic_and_bounded():
     cfg = tiny_encoder_cfg()
     a = enc.init_params(cfg, seed=42)
@@ -75,7 +80,8 @@ def test_forward_single_frame_finite():
     assert emb.H.shape == (1, 1, cfg.out_dim) and emb.Z.shape == (1, 1, cfg.proj_out)
     assert np.isfinite(emb.H).all() and np.isfinite(emb.Z).all()
     for lc in cache["layers"]:
-        assert np.allclose(lc["attn"]["attn"], 1.0)  # softmax over a single key
+        for _, attn in enc._attn_blocks(lc["attn"]["qh"], lc["attn"]["kh"]):
+            assert np.allclose(attn, 1.0)  # softmax over a single key
 
 
 def test_attention_rows_are_probabilities():
@@ -84,8 +90,8 @@ def test_attention_rows_are_probabilities():
     _, cache = enc.forward(params, cfg, np.random.default_rng(2).standard_normal((7, 8))[None],
                            train=True)
     for lc in cache["layers"]:
-        rows = lc["attn"]["attn"].sum(axis=-1)
-        assert np.abs(rows - 1).max() < 1e-6
+        for _, attn in enc._attn_blocks(lc["attn"]["qh"], lc["attn"]["kh"]):
+            assert np.abs(attn.sum(axis=-1) - 1).max() < 1e-6
 
 
 def test_shape_mismatch_rejected():
@@ -170,19 +176,38 @@ def test_backward_requires_cache():
 
 @pytest.mark.parametrize("T", [128, 300])
 def test_eval_attention_row_blocks_match_full_attention(monkeypatch, T):
-    # T=300 runs blocks of 128, 128 and 44 rows; T <= ATTN_ROWS is one block
+    # T=300 runs blocks of 128, 128 and 44 rows; T <= ATTN_ROWS is one block.
+    # Eval forwards block, and so do training forwards and their backward.
     cfg = tiny_encoder_cfg(num_layers=2)
     params = enc.init_params(cfg, 14)
     # move the batch-norm running statistics off their initial values
     enc.forward(params, cfg, np.random.default_rng(15).standard_normal((T, 8))[None], train=True)
-    x = np.random.default_rng(16).standard_normal((T, 8))[None]
-    tol = 0.0 if T <= enc.ATTN_ROWS else 1e-12
-    blocked, cache = enc.forward(params, cfg, x)
-    assert cache == {}
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((T, 8))[None]
+    pair = rng.standard_normal((2, T, 8))
+    grad_Z = rng.standard_normal((2, T, cfg.proj_out))
+
+    def run():
+        evaluated, cache = enc.forward(params, cfg, x)
+        assert cache == {}
+        trained = _cast(params, np.float64)  # a copy, whose statistics training moves
+        emb, cache = enc.forward(trained, cfg, pair, train=True)
+        grads = _zero_grads(trained)
+        enc.backward(trained, cfg, cache, grad_Z, grads)
+        return evaluated, emb, trained.buffers, grads
+
+    blocked = run()
     monkeypatch.setattr(enc, "ATTN_ROWS", T)
-    full, _ = enc.forward(params, cfg, x)
-    assert np.abs(blocked.H - full.H).max() <= tol
-    assert np.abs(blocked.Z - full.Z).max() <= tol
+    full = run()
+    tol = 0.0 if T <= 128 else 1e-12
+    for b, f in zip(blocked[:2], full[:2]):
+        assert np.abs(b.H - f.H).max() <= tol
+        assert np.abs(b.Z - f.Z).max() <= tol
+    for name in full[2]:
+        assert np.array_equal(blocked[2][name], full[2][name]), name
+    scale = max(np.abs(g).max() for g in full[3].values())
+    for name in full[3]:
+        assert np.abs(blocked[3][name] - full[3][name]).max() <= tol * scale, name
 
 
 def test_long_video_eval_memory_bounded():
@@ -218,13 +243,17 @@ def _layers_id(num_layers):
     return "" if num_layers == 1 else f"-{num_layers}layers"
 
 
-@pytest.mark.parametrize("seed,num_layers,views", [
-    *(pytest.param(seed, num_layers, 1, id=f"{seed}-True{_layers_id(num_layers)}")
+@pytest.mark.parametrize("seed,num_layers,views,rows", [
+    *(pytest.param(seed, num_layers, 1, None, id=f"{seed}-True{_layers_id(num_layers)}")
       for num_layers in (1, 2) for seed in (0, 1)),
-    *(pytest.param(2, num_layers, 2, id=f"pair-scl{_layers_id(num_layers)}")
+    *(pytest.param(2, num_layers, 2, None, id=f"pair-scl{_layers_id(num_layers)}")
+      for num_layers in (1, 2)),
+    *(pytest.param(2, num_layers, 2, 2, id=f"pair-scl{_layers_id(num_layers)}-rows2")
       for num_layers in (1, 2)),
 ])
-def test_gradients_match_finite_differences(seed, num_layers, views):
+def test_gradients_match_finite_differences(monkeypatch, seed, num_layers, views, rows):
+    if rows:  # T=5 then runs query-row blocks of 2, 2 and 1
+        monkeypatch.setattr(enc, "ATTN_ROWS", rows)
     cfg = tiny_encoder_cfg(D=6, model_dim=8, num_heads=2, ffn_dim=12, out_dim=5,
                            proj_hidden=5, proj_out=4, num_layers=num_layers)
     params = enc.init_params(cfg, seed)
@@ -324,6 +353,26 @@ def test_float32_compute_matches_float64(cfg, T):
     # one global scale: some bias gradients are zero by construction (~1e-18)
     scale = max(np.abs(g).max() for g in g64.values())
     assert max(np.abs(g32[n] - g64[n]).max() for n in g64) <= 1e-5 * scale
+
+
+def test_long_video_training_memory_bounded():
+    # One (2, 2000, 32) float32 training forward and backward of the bench
+    # encoder: the (2, heads, T, T) weights alone would take 122 MiB per layer;
+    # row blocks, recomputed in backward, keep the whole peak under 128 MiB.
+    params = _cast(enc.init_params(BENCH_ENC, 34), np.float32)
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal((2, 2000, BENCH_ENC.input_dim)).astype(np.float32)
+    grad_Z = rng.standard_normal((2, 2000, BENCH_ENC.proj_out)).astype(np.float32)
+    grads = _zero_grads(params)
+    tracemalloc.start()
+    try:
+        _, cache = enc.forward(params, BENCH_ENC, x, train=True)
+        enc.backward(params, BENCH_ENC, cache, grad_Z, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(g).all() and g.any() for g in grads.values())
+    assert peak < 128 * 2**20
 
 
 def test_batched_eval_forward_matches_single_views():
