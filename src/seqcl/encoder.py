@@ -9,9 +9,12 @@ tests. Normalization in the projection block is batch norm over the T frames
 of a view (batch statistics while training, running statistics at eval).
 
 Attention runs ATTN_ROWS query rows at a time, in training and at eval: its
-memory per view is O(heads * ATTN_ROWS * T), not O(heads * T^2). A training
-forward keeps every layer's activations but not the attention weights, which
-`backward` recomputes block by block; an eval forward keeps nothing.
+memory per view is O(heads * ATTN_ROWS * T), not O(heads * T^2), and it
+divides each block's context, not its weights, by the weight sums
+(FlashAttention-2). A training forward keeps every layer's activations, for
+attention q, k, v, the context and each query's log-sum-exp of its scores,
+but not the weights, which `backward` recomputes block by block as
+exp(scores - lse). An eval forward keeps nothing.
 
 The encoder computes in the dtype of its parameters: `forward` casts x, and
 `backward` casts the upstream gradient, to it, and every array it allocates
@@ -31,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, SeqclError, check_fields, rule
-from .loss import softmax
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
@@ -189,50 +191,68 @@ def _batch_norm(x, params, name, train):
     return out, cache
 
 
+def _heads(a, num_heads):
+    """(N, T, m) to (N, heads, T, head_dim), a view."""
+    N, T, m = a.shape
+    return a.reshape(N, T, num_heads, m // num_heads).transpose(0, 2, 1, 3)
+
+
 def _attn_blocks(qh, kh):
-    """Yield (rows, softmax of their scaled scores) per block of ATTN_ROWS
-    query rows. BLAS may round a block's products differently from the whole
-    matrix's; forward and backward share the blocks, so they agree bit for bit."""
-    T, hd = qh.shape[-2:]
+    """Yield (rows, k @ q_rowsᵀ) per block of ATTN_ROWS query rows: the
+    block's scores key-major, (T, rows) per head, so that reductions over the
+    keys run down the buffer's columns. Each block is written over the last in
+    one buffer. Forward and backward share the blocks, so the backward's
+    scores are the forward's bit for bit."""
+    N, heads, T, _ = qh.shape
+    buf = np.empty((N, heads, T, min(T, ATTN_ROWS)), dtype=qh.dtype)
     for start in range(0, T, ATTN_ROWS):
         rows = slice(start, start + ATTN_ROWS)
-        yield rows, softmax(qh[:, :, rows] @ kh.swapaxes(-1, -2) / math.sqrt(hd))
+        qT = qh[:, :, rows].swapaxes(-1, -2)
+        yield rows, np.matmul(kh, qT, out=buf[..., : qT.shape[-1]])
 
 
 def _attn_forward(x, p, prefix, num_heads):
     """Multi-head self-attention over the T frames of each of x's N views, in
-    `_attn_blocks`. The cache keeps q, k, v and the context, not the weights."""
-    N, T, m = x.shape
-    hd = m // num_heads
-    # (N, heads, T, head_dim)
-    qh, kh, vh = (
-        _affine(x, p, f"{prefix}.{name}").reshape(N, T, num_heads, hd).transpose(0, 2, 1, 3)
-        for name in "qkv"
-    )
-    ctx = np.empty((N, T, m), dtype=x.dtype)
-    for rows, attn in _attn_blocks(qh, kh):
-        ctx[:, rows] = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, -1, m)
-    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "ctx": ctx}
+    `_attn_blocks`. q is scaled by 1/√head_dim up front; each block's context
+    is divided by its weights' sums. The cache keeps q, k, v, the context and
+    the (N, heads, T, 1) log-sum-exp of each query's scores, not the weights."""
+    q, k, v = (_affine(x, p, f"{prefix}.{name}") for name in "qkv")
+    q *= 1.0 / math.sqrt(x.shape[-1] // num_heads)
+    qh, kh, vh = (_heads(a, num_heads) for a in (q, k, v))
+    ctx = np.empty_like(x)
+    ctxh, lse = _heads(ctx, num_heads), np.empty(qh.shape[:-1] + (1,), dtype=x.dtype)
+    for rows, e in _attn_blocks(qh, kh):
+        col_max = e.max(axis=-2, keepdims=True, initial=-np.inf)
+        e -= col_max
+        np.exp(e, out=e)
+        col_sum = e.sum(axis=-2, keepdims=True)
+        np.divide(e.swapaxes(-1, -2) @ vh, col_sum.swapaxes(-1, -2), out=ctxh[:, :, rows])
+        lse[:, :, rows] = (col_max + np.log(col_sum)).swapaxes(-1, -2)
+    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "ctx": ctx, "lse": lse}
     return _affine(ctx, p, f"{prefix}.o"), cache
 
 
 def _attn_backward(dout, cache, p, prefix, num_heads, grads):
     x, qh, kh, vh = cache["x"], cache["qh"], cache["kh"], cache["vh"]
-    N, T, m = x.shape
-    hd = m // num_heads
     dctx = _affine_backward(dout, cache["ctx"], p, f"{prefix}.o", grads)
-    dctx = dctx.reshape(N, T, num_heads, hd).transpose(0, 2, 1, 3)
-    dqh, dkh, dvh = np.empty_like(qh), np.zeros_like(kh), np.zeros_like(vh)
-    for rows, attn in _attn_blocks(qh, kh):
-        dattn = dctx[:, :, rows] @ vh.swapaxes(-1, -2)
-        dvh += attn.swapaxes(-1, -2) @ dctx[:, :, rows]
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= math.sqrt(hd)
-        dqh[:, :, rows] = dscores @ kh
-        dkh += dscores.swapaxes(-1, -2) @ qh[:, :, rows]
+    # each query's rowsum(dattn ∘ attn) is rowsum(dctx ∘ ctx): once, not per block
+    D = _heads(dctx * cache["ctx"], num_heads).sum(axis=-1)[:, :, None]
+    lse, dctx = cache["lse"].swapaxes(-1, -2), _heads(dctx, num_heads)
+    dq, dk, dv = np.empty_like(x), np.zeros_like(x), np.zeros_like(x)
+    dqh, dkh, dvh = (_heads(d, num_heads) for d in (dq, dk, dv))
+    dbuf = np.empty(qh.shape[:-1] + (min(qh.shape[2], ATTN_ROWS),), dtype=x.dtype)
+    for rows, attn in _attn_blocks(qh, kh):  # (N, heads, T, rows): scores, then weights
+        attn -= lse[..., rows]
+        np.exp(attn, out=attn)
+        dvh += attn @ dctx[:, :, rows]
+        dscores = np.matmul(vh, dctx[:, :, rows].swapaxes(-1, -2), out=dbuf[..., : attn.shape[-1]])
+        dscores -= D[..., rows]
+        dscores *= attn
+        np.matmul(dscores.swapaxes(-1, -2), kh, out=dqh[:, :, rows])
+        dkh += dscores @ qh[:, :, rows]
+    dq *= 1.0 / math.sqrt(x.shape[-1] // num_heads)
     return sum(
-        _affine_backward(d.transpose(0, 2, 1, 3).reshape(N, T, m), x, p, f"{prefix}.{n}", grads)
-        for n, d in (("q", dqh), ("k", dkh), ("v", dvh))
+        _affine_backward(d, x, p, f"{prefix}.{n}", grads) for n, d in zip("qkv", (dq, dk, dv))
     )
 
 

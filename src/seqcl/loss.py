@@ -31,10 +31,9 @@ class SCLConfig:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis`, shifted by the maximum for stability. Works in
-    one new array: attention's score tensors are the largest in the encoder.
-    `initial` leaves the max as it is, and numpy reduces short rows about
-    twice as fast with it."""
+    """Softmax along `axis`, shifted by the maximum for stability, in one new
+    array. `initial` leaves the max as it is, and numpy reduces short rows
+    about twice as fast with it."""
     e = x - x.max(axis=axis, keepdims=True, initial=-np.inf)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
@@ -74,7 +73,7 @@ def _contrastive(Z1, Z2, W, tau):
     u, n1 = unit_rows(Z1, "Z1")
     v, n2 = unit_rows(Z2, "Z2")
     logits = u @ v.T / tau
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True, initial=-np.inf)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     has_target = W.any(axis=1, keepdims=True)
     n = int(has_target.sum())

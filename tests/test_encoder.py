@@ -72,6 +72,13 @@ def test_positional_encoding_values():
         enc.positional_encoding(5, 7)
 
 
+def _attention_weights(attn_cache):
+    """(N, heads, T, T) weights of one layer, from its cached (scaled) q, k
+    and row log-sum-exp: exp(q kᵀ - lse)."""
+    qh, kh = attn_cache["qh"], attn_cache["kh"]
+    return np.exp(qh @ kh.swapaxes(-1, -2) - attn_cache["lse"])
+
+
 def test_forward_single_frame_finite():
     cfg = tiny_encoder_cfg()
     params = enc.init_params(cfg, 0)
@@ -80,8 +87,7 @@ def test_forward_single_frame_finite():
     assert emb.H.shape == (1, 1, cfg.out_dim) and emb.Z.shape == (1, 1, cfg.proj_out)
     assert np.isfinite(emb.H).all() and np.isfinite(emb.Z).all()
     for lc in cache["layers"]:
-        for _, attn in enc._attn_blocks(lc["attn"]["qh"], lc["attn"]["kh"]):
-            assert np.allclose(attn, 1.0)  # softmax over a single key
+        assert np.allclose(_attention_weights(lc["attn"]), 1.0)  # softmax over a single key
 
 
 def test_attention_rows_are_probabilities():
@@ -90,8 +96,7 @@ def test_attention_rows_are_probabilities():
     _, cache = enc.forward(params, cfg, np.random.default_rng(2).standard_normal((7, 8))[None],
                            train=True)
     for lc in cache["layers"]:
-        for _, attn in enc._attn_blocks(lc["attn"]["qh"], lc["attn"]["kh"]):
-            assert np.abs(attn.sum(axis=-1) - 1).max() < 1e-6
+        assert np.abs(_attention_weights(lc["attn"]).sum(axis=-1) - 1).max() < 1e-6
 
 
 def test_shape_mismatch_rejected():
@@ -208,6 +213,35 @@ def test_eval_attention_row_blocks_match_full_attention(monkeypatch, T):
     scale = max(np.abs(g).max() for g in full[3].values())
     for name in full[3]:
         assert np.abs(blocked[3][name] - full[3][name]).max() <= tol * scale, name
+
+
+def test_attention_layer_matches_one_piece_softmax_reference():
+    # T=300 runs blocks of 128, 128 and 44 query rows; the reference is one
+    # (heads, T, T) softmax(q kᵀ / √hd) v in float64. Frame 0 is scaled so
+    # that its scores span about 1e3 and all of its weights but one underflow.
+    m, heads, T = 8, 2, 300
+    hd = m // heads
+    rng = np.random.default_rng(40)
+    p = {f"attn.{n}.{w}": rng.uniform(-0.35, 0.35, (m, m) if w == "W" else m)
+         for n in "qkvo" for w in "Wb"}
+    p["attn.k.W"], p["attn.k.b"] = p["attn.q.W"], p["attn.q.b"]  # frame 0 attends to itself
+    x = rng.standard_normal((1, T, m))
+    x[0, 0] *= 120
+    out, cache = enc._attn_forward(x, p, "attn", heads)
+
+    q, k, v = ((x @ p[f"attn.{n}.W"] + p[f"attn.{n}.b"]).reshape(1, T, heads, hd)
+               .transpose(0, 2, 1, 3) for n in "qkv")
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(hd)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    ref = (weights @ v).transpose(0, 2, 1, 3).reshape(1, T, m) @ p["attn.o.W"] + p["attn.o.b"]
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    assert np.ptp(scores[0, :, 0], axis=-1).min() > 900
+    blocked = _attention_weights(cache)
+    assert np.isfinite(blocked).all()
+    assert np.abs(blocked.sum(axis=-1) - 1).max() < 1e-12
+    assert ((blocked[0, :, 0] > 0).sum(axis=-1) == 1).all()
 
 
 def test_long_video_eval_memory_bounded():
