@@ -122,16 +122,26 @@ def init_params(cfg: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams(tensors=tensors, buffers=buffers)
 
 
+_PE_TABLES: dict[int, np.ndarray] = {}  # model_dim -> table for the longest T asked
+
+
 def positional_encoding(T: int, model_dim: int) -> np.ndarray:
+    """Read-only (T, model_dim) sine-cosine table: the first T rows of one
+    table per model_dim, rebuilt only when a longer T is asked for. Each entry
+    depends only on its (position, column), so a slice equals a fresh table."""
     if model_dim % 2 != 0:
         raise ConfigError(f"model_dim must be even, got {model_dim}")
-    pos = np.arange(T)[:, None]
-    i = np.arange(model_dim // 2)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * i / model_dim)
-    pe = np.empty((T, model_dim))
-    pe[:, 0::2] = np.sin(angle)
-    pe[:, 1::2] = np.cos(angle)
-    return pe
+    pe = _PE_TABLES.get(model_dim)
+    if pe is None or pe.shape[0] < T:
+        pos = np.arange(T)[:, None]
+        i = np.arange(model_dim // 2)[None, :]
+        angle = pos / np.power(10000.0, 2.0 * i / model_dim)
+        pe = np.empty((T, model_dim))
+        pe[:, 0::2] = np.sin(angle)
+        pe[:, 1::2] = np.cos(angle)
+        pe.flags.writeable = False
+        _PE_TABLES[model_dim] = pe
+    return pe[:T]
 
 
 # --- layer primitives (forward returns cache for the exact backward) ---

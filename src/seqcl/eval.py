@@ -83,16 +83,17 @@ def fit_classifier(X: np.ndarray, y: np.ndarray, probe: ProbeConfig) -> tuple[np
     """(W, b) of multinomial logistic regression on labels 0..max(y), by GD on
     the mean softmax cross-entropy. Class-major: theta is (C, d+1) and the
     logits theta @ Xa^T are (C, n), so the softmax reduces elementwise across
-    C contiguous rows instead of over n rows of length C."""
-    n = X.shape[0]
-    Xa = np.column_stack((X, np.ones(n)))
-    XaT = np.ascontiguousarray(Xa.T)
+    C contiguous rows instead of over n rows of length C. Only Xa^T is held;
+    the gradient err @ Xa is taken as (Xa^T @ err^T)^T."""
+    n, d = X.shape
+    XaT = np.ones((d + 1, n))
+    XaT[:d] = X.T
     target = np.eye(int(y.max()) + 1)[:, y]
-    theta = np.zeros((target.shape[0], Xa.shape[1]))
+    theta = np.zeros((target.shape[0], d + 1))
     for _ in range(probe.steps):
         err = softmax(theta @ XaT, axis=0)
         err -= target
-        theta -= probe.lr / n * (err @ Xa)
+        theta -= probe.lr / n * (XaT @ err.T).T
     return theta[:, :-1].T, theta[:, -1]
 
 
@@ -171,6 +172,20 @@ def linear_probe_progression(
 
 
 # --- rank and retrieval metrics ---
+# tau and AP@K rank the query frames QUERY_ROWS at a time, so they hold one
+# (QUERY_ROWS, pool) block of cosine similarities, never the whole matrix.
+
+QUERY_ROWS = 128
+
+
+def _cosine_row_blocks(Z1: np.ndarray, Z2: np.ndarray):
+    """Yield (rows, cosine similarities of Z1[rows] to every row of Z2) per
+    block of QUERY_ROWS rows of Z1. Zero-norm rows raise as in
+    `cosine_similarities`."""
+    u, v = unit_rows(Z1, "Z1")[0], unit_rows(Z2, "Z2")[0]
+    for lo in range(0, u.shape[0], QUERY_ROWS):
+        rows = slice(lo, lo + QUERY_ROWS)
+        yield rows, u[rows] @ v.T
 
 
 def kendalls_tau(emb1: np.ndarray, emb2: np.ndarray) -> float:
@@ -180,11 +195,12 @@ def kendalls_tau(emb1: np.ndarray, emb2: np.ndarray) -> float:
     t1 = emb1.shape[0]
     if t1 < 2:
         raise ConfigError(f"need at least 2 frames, got {t1}")
-    # argmax breaks score ties toward the smaller index
-    nn = cosine_similarities(emb1, emb2).argmax(axis=1)
-    rows = 128  # sign(nn[j] - nn[i]) over j > i, summed 128 rows i at a time
-    signs = sum(int(np.triu(np.sign(nn[lo + 1 :] - nn[lo : lo + rows, None])).sum())
-                for lo in range(0, t1 - 1, rows))
+    nn = np.empty(t1, dtype=np.intp)
+    for rows, scores in _cosine_row_blocks(emb1, emb2):
+        nn[rows] = scores.argmax(axis=1)  # ties go to the smaller index
+    # sign(nn[j] - nn[i]) over j > i, summed QUERY_ROWS rows i at a time
+    signs = sum(int(np.triu(np.sign(nn[lo + 1 :] - nn[lo : lo + QUERY_ROWS, None])).sum())
+                for lo in range(0, t1 - 1, QUERY_ROWS))
     return float(signs / (t1 * (t1 - 1) / 2))
 
 
@@ -226,7 +242,10 @@ def ap_at_k(
         return {}
     if min(Ks) < 1:
         raise ConfigError(f"K must be >= 1, got {min(Ks)}")
-    top = _top_k(cosine_similarities(np.atleast_2d(query_embs), candidate_embs), max(Ks))
+    queries = np.atleast_2d(query_embs)
+    top = np.empty((queries.shape[0], max(Ks)), dtype=np.intp)
+    for rows, scores in _cosine_row_blocks(queries, candidate_embs):
+        top[rows] = _top_k(scores, max(Ks))
     hits = np.asarray(candidate_labels)[top] == np.reshape(query_labels, (-1, 1))
     return {K: hits[:, :K].mean(axis=1) for K in Ks}
 

@@ -1,0 +1,54 @@
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import bench_pairs  # noqa: E402
+
+# A stand-in for perfbench/run.py: prints an info line and a result line whose
+# metric values come from a file in its checkout, one run per line.
+STUB = '''
+import json, sys
+from pathlib import Path
+values = Path("values.txt").read_text().split()
+n = len(Path("runs.txt").read_text()) if Path("runs.txt").exists() else 0
+Path("runs.txt").write_text("x" * (n + 1))
+print("noise")
+print(json.dumps({"info": {"seed": sys.argv[4], "provenance": {"git_sha": "abc", "nproc": 2}}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "eval_s": {"value": float(values[n]), "unit": "s"},
+    "ops_ok_ratio": {"value": 1.0, "unit": "ratio"},
+    "unlisted": {"value": 7.0, "unit": "s"}}}))
+'''
+
+
+def _checkout(root, values):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB)
+    (root / "values.txt").write_text(" ".join(map(str, values)))
+    spec = {"end_to_end": [{"name": "eval_s", "better": "lower"},
+                           {"name": "ops_ok_ratio", "better": "higher"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+def test_pairs_alternate_and_summarize(tmp_path):
+    parent = _checkout(tmp_path / "parent", [2.0, 2.0, 2.0])
+    change = _checkout(tmp_path / "change", [1.0, 3.0, 1.5])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "w", "--seeds", "1", "2", "3",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent"]
+    assert [p["seed"] for p in doc["pairs"]] == [1, 2, 3]
+    first = doc["pairs"][0]["change"]
+    assert first["provenance"] == {"git_sha": "abc", "nproc": 2}
+    assert first["src_tree"] is None  # not a git work tree
+    assert first["result"]["metrics"]["eval_s"]["value"] == 1.0
+    summary = doc["summary"]["w"]
+    assert summary["eval_s"] == {"better": "lower", "change_better_pairs": 2, "pairs": 3,
+                                 "parent_median": 2.0, "change_median": 1.5}
+    assert summary["ops_ok_ratio"]["change_better_pairs"] == 0
+    assert "unlisted" not in summary

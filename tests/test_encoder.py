@@ -72,6 +72,19 @@ def test_positional_encoding_values():
         enc.positional_encoding(5, 7)
 
 
+def test_positional_encoding_is_one_read_only_table():
+    def fresh(T, model_dim):
+        angle = np.arange(T)[:, None] / np.power(10000.0, 2.0 * np.arange(model_dim // 2) / model_dim)
+        return np.stack((np.sin(angle), np.cos(angle)), axis=2).reshape(T, model_dim)
+
+    for T in (5, 700, 3, 701, 650):  # grows to 701 and slices it after that
+        pe = enc.positional_encoding(T, 34)
+        assert pe.shape == (T, 34) and not pe.flags.writeable
+        assert np.array_equal(pe, fresh(T, 34))
+    assert np.shares_memory(enc.positional_encoding(3, 34), enc.positional_encoding(650, 34))
+    assert enc.positional_encoding(4, 6).shape == (4, 6)  # other widths keep their own table
+
+
 def _attention_weights(attn_cache):
     """(N, heads, T, T) weights of one layer, from its cached (scaled) q, k
     and row log-sum-exp: exp(q kᵀ - lse)."""

@@ -223,8 +223,9 @@ def test_tau_requires_two_frames():
 
 
 def test_tau_memory_is_the_cosine_matrix():
-    # The (T1, T2) cosine matrix is 31 MiB here; a (T1, T1) sign matrix and its
-    # triangle gather would add about 45 MiB on top of it.
+    # Nearest neighbours and signs both go 128 rows at a time: a (128, T2)
+    # cosine block and a (128, T1) sign block are about 2 MiB each here. The
+    # whole (T1, T2) cosine matrix would be 31 MiB.
     rng = np.random.default_rng(19)
     e1, e2 = rng.standard_normal((2000, 8)), rng.standard_normal((2037, 8))
     tracemalloc.start()
@@ -234,7 +235,7 @@ def test_tau_memory_is_the_cosine_matrix():
     finally:
         tracemalloc.stop()
     assert -1 <= tau <= 1
-    assert peak < 48 * 2**20
+    assert peak < 16 * 2**20
 
 
 # --- AP@K ---
@@ -280,6 +281,55 @@ def test_ap_matches_brute_force():
             for K in Ks:
                 assert fractions[K].shape == (rows,)
                 assert fractions[K][r] == sum(labels[i] == label for i in order[:K]) / K
+
+
+def test_ap_memory_is_row_blocked():
+    # One (128, 6,000) cosine block with its partition copy is about 12 MiB;
+    # the whole (2,000, 6,000) matrix alone would be 92 MiB.
+    rng = np.random.default_rng(23)
+    q, cands = rng.standard_normal((2000, 32)), rng.standard_normal((6000, 32))
+    q_labels, labels = rng.integers(0, 5, 2000), rng.integers(0, 5, 6000)
+    tracemalloc.start()
+    try:
+        fractions = ap_at_k(q, q_labels, cands, labels, (5, 10, 15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(fractions[K].shape == (2000,) for K in (5, 10, 15))
+    assert peak < 32 * 2**20
+
+
+def _signed_rows(rng, n, nonzero, d=32):
+    """n rows of d entries, `nonzero` of them +-1 and the rest 0. With
+    `nonzero` a power of 4 the unit rows hold +-2^-k, so every cosine between
+    two such rows is exact, whatever order a GEMM kernel sums it in."""
+    rows = np.zeros((n, d))
+    for row in rows:
+        row[rng.choice(d, nonzero, replace=False)] = rng.choice((-1.0, 1.0), nonzero)
+    return rows
+
+
+@pytest.mark.parametrize("palette", [False, True])
+@pytest.mark.parametrize("Q", [128, 129, 300])
+def test_row_blocks_match_one_block(monkeypatch, Q, palette):
+    """AP@K and tau ranked 128 query rows at a time equal one block of all Q
+    rows: on random rows, and on a 4-row palette of candidates whose scores
+    tie exactly. (Random palette rows do not: one GEMM can round equal
+    columns differently by their place in its kernel's tiles.)"""
+    rng = np.random.default_rng(Q + 1000 * palette)
+    n = 2 * Q + 37
+    if palette:
+        q, cands = _signed_rows(rng, Q, 16), _signed_rows(rng, 4, 4)[rng.integers(0, 4, n)]
+    else:
+        q, cands = rng.standard_normal((Q, 32)), rng.standard_normal((n, 32))
+    q_labels, labels = rng.integers(0, 3, Q), rng.integers(0, 3, n)
+    Ks = (1, 5, 15)
+    blocked = ap_at_k(q, q_labels, cands, labels, Ks), kendalls_tau(q, cands)
+    monkeypatch.setattr("seqcl.eval.QUERY_ROWS", Q)
+    whole = ap_at_k(q, q_labels, cands, labels, Ks), kendalls_tau(q, cands)
+    for K in Ks:
+        assert np.array_equal(blocked[0][K], whole[0][K])
+    assert blocked[1] == whole[1]
 
 
 def test_ap_pool_too_small():

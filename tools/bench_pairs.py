@@ -1,0 +1,120 @@
+"""Run perfbench on a parent checkout and a change checkout in alternating
+pairs, and write every run's result line and provenance to one JSON file.
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
+        --workload query-long --seeds 1 2 3 --seconds 30 --out BENCH_14.json
+
+Each checkout holds `perfbench/`, `src/` and `BENCHMARK.json`. For each
+workload and seed both sides run once, each as
+`python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` in its
+own checkout; the parent runs first in even-numbered pairs and the change in
+odd-numbered ones, so drift of the host's speed does not favour one side.
+
+Each run keeps perfbench's result line, and from its info line the
+provenance (git sha, Python, numpy, BLAS, CPU count) and the evaluation
+report. It also keeps the git tree of `src/` when the checkout is a clean git
+clone, so a run of an unmerged commit can be matched to the tree that was
+merged. The file is rewritten after every pair.
+It ends with a per-metric summary of the measured pairs: both medians, and in
+how many pairs the change was better, by the direction BENCHMARK.json gives.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run: its result line, the provenance and the
+    evaluation report from its info line, and its wall time."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    start = time.perf_counter()
+    child = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if child.returncode != 0:
+        raise RuntimeError(f"perfbench in {checkout} exited with {child.returncode}:\n"
+                           f"{child.stderr[-2000:]}")
+    *_, info, result = child.stdout.strip().splitlines()
+    info = json.loads(info)["info"]
+    return {"provenance": info["provenance"], "src_tree": src_tree(checkout),
+            "quality": info.get("quality"), "wall_s": round(wall, 3),
+            "result": json.loads(result)}
+
+
+def src_tree(checkout: Path) -> str | None:
+    """Git tree id of `src/` at HEAD, or None if the checkout is not a git
+    clone or its `src/` differs from HEAD."""
+    if not (checkout / ".git").exists():
+        return None
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+
+    status, tree = git("status", "--porcelain", "--", "src"), git("rev-parse", "HEAD:src")
+    if status.returncode or tree.returncode or status.stdout.strip():
+        return None
+    return tree.stdout.strip()
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: the medians of both sides over the pairs, and
+    the number of pairs in which the change was strictly better."""
+    out: dict = {}
+    for pair in pairs:
+        for name in pair["parent"]["result"]["metrics"]:
+            if name not in better:
+                continue
+            entry = out.setdefault(pair["workload"], {}).setdefault(
+                name, {"better": better[name], "parent": [], "change": []})
+            for side in ("parent", "change"):
+                entry[side].append(pair[side]["result"]["metrics"][name]["value"])
+    for metrics in out.values():
+        for entry in metrics.values():
+            sign = -1 if entry["better"] == "lower" else 1
+            entry["change_better_pairs"] = sum(
+                sign * (c - p) > 0 for p, c in zip(entry["parent"], entry["change"]))
+            entry["pairs"] = len(entry["parent"])
+            entry["parent_median"] = statistics.median(entry.pop("parent"))
+            entry["change_median"] = statistics.median(entry.pop("change"))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    doc = {"command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
+           "workloads": args.workload, "seeds": args.seeds, "seconds": args.seconds,
+           "pairs": [], "summary": {}}
+    for workload in args.workload:
+        for seed in args.seeds:
+            order = ("parent", "change") if len(doc["pairs"]) % 2 == 0 else ("change", "parent")
+            pair = {"workload": workload, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = perfbench(getattr(args, side), workload, seed, args.seconds)
+                print(f"{workload} seed {seed} {side}: "
+                      + json.dumps(pair[side]["result"]["metrics"]), flush=True)
+            doc["pairs"].append(pair)
+            doc["summary"] = summarize(doc["pairs"], better)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
