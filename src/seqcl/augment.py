@@ -138,7 +138,8 @@ def feature_jitter(
     """Gaussian noise per entry plus a per-view feature-dimension dropout mask.
 
     One mask is shared by all frames of the view, so the corruption is
-    temporally consistent.
+    temporally consistent. The noise is drawn and added in float64, and the
+    result is cast back to the view's dtype, the record's float32.
     """
     feats = view.features
     if cfg.jitter_std > 0:
@@ -146,7 +147,7 @@ def feature_jitter(
     if cfg.jitter_dropout > 0:
         keep = rng.random(feats.shape[1]) >= cfg.jitter_dropout
         feats = feats * keep
-    return replace(view, features=feats)
+    return replace(view, features=feats.astype(view.features.dtype, copy=False))
 
 
 def build_view_pair(

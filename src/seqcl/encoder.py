@@ -14,7 +14,10 @@ divides each block's context, not its weights, by the weight sums
 (FlashAttention-2). A training forward keeps every layer's activations, for
 attention q, k, v, the context and each query's log-sum-exp of its scores,
 but not the weights, which `backward` recomputes block by block as
-exp(scores - lse). An eval forward keeps nothing.
+exp(scores - lse). Of each ReLU it keeps the input, not the output, and of
+each layer's ln2 the normalized xhat, not the scaled output; `backward`
+recomputes those where a weight gradient needs them. An eval forward keeps
+nothing.
 
 The encoder computes in the dtype of its parameters: `forward` casts x, and
 `backward` casts the upstream gradient, to it, and every array it allocates
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -171,7 +175,12 @@ def _norm_forward(x, p, name, axis, stats=None):
     invstd = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x - mu) * invstd
     cache = {"xhat": xhat, "invstd": invstd, "axis": axis, "mean": mu, "var": var}
-    return p[f"{name}.gamma"] * xhat + p[f"{name}.beta"], cache
+    return _scale_shift(xhat, p, name), cache
+
+
+def _scale_shift(xhat, p, name):
+    """A norm's output from its normalized input; `backward` recomputes ln2's."""
+    return p[f"{name}.gamma"] * xhat + p[f"{name}.beta"]
 
 
 def _norm_backward(dy, cache, p, name, grads):
@@ -286,9 +295,9 @@ def forward(
     cache: dict = {"x": x, "layers": []}
 
     bn1, cache["bn1"] = _batch_norm(_affine(x, p, "proj.fc1"), params, "proj.bn1", train)
-    a1 = np.maximum(bn1, 0.0)
-    bn2, cache["bn2"] = _batch_norm(_affine(a1, p, "proj.fc2"), params, "proj.bn2", train)
-    cache["a1"], cache["bn1_out"], cache["bn2_out"] = a1, bn1, bn2
+    bn2, cache["bn2"] = _batch_norm(
+        _affine(np.maximum(bn1, 0.0), p, "proj.fc2"), params, "proj.bn2", train)
+    cache["bn1_out"], cache["bn2_out"] = bn1, bn2
 
     h = np.maximum(bn2, 0.0)
     h += positional_encoding(T, cfg.model_dim)
@@ -299,19 +308,17 @@ def forward(
         attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads)
         h = h + attn
 
-        lc["norm2"], lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", -1)
-        lc["f1"] = _affine(lc["norm2"], p, f"layer{i}.ffn.fc1")
-        lc["fa"] = np.maximum(lc["f1"], 0.0)
-        h = h + _affine(lc["fa"], p, f"layer{i}.ffn.fc2")
+        norm2, lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", -1)
+        lc["f1"] = _affine(norm2, p, f"layer{i}.ffn.fc1")
+        h = h + _affine(np.maximum(lc["f1"], 0.0), p, f"layer{i}.ffn.fc2")
         if train:
             cache["layers"].append(lc)
 
     cache["trunk"] = h
     H = _affine(h, p, "out")
     g1 = _affine(H, p, "head.fc1")
-    ga = np.maximum(g1, 0.0)
-    Z = _affine(ga, p, "head.fc2")
-    cache["H"], cache["g1"], cache["ga"] = H, g1, ga
+    Z = _affine(np.maximum(g1, 0.0), p, "head.fc2")
+    cache["H"], cache["g1"] = H, g1
     return EmbeddingSequence(H=H, Z=Z), cache if train else {}
 
 
@@ -330,22 +337,24 @@ def backward(
     p = params.tensors
     grad_Z = np.asarray(grad_Z, dtype=p["proj.fc1.W"].dtype)
 
-    dga = _affine_backward(grad_Z, cache["ga"], p, "head.fc2", grads)
-    dH = _affine_backward(dga * (cache["g1"] > 0), cache["H"], p, "head.fc1", grads)
+    g1 = cache["g1"]
+    dga = _affine_backward(grad_Z, np.maximum(g1, 0.0), p, "head.fc2", grads)
+    dH = _affine_backward(dga * (g1 > 0), cache["H"], p, "head.fc1", grads)
     dh = _affine_backward(dH, cache["trunk"], p, "out", grads)
 
     for i in reversed(range(cfg.num_layers)):
         lc = cache["layers"][i]
-        dfa = _affine_backward(dh, lc["fa"], p, f"layer{i}.ffn.fc2", grads)
+        dfa = _affine_backward(dh, np.maximum(lc["f1"], 0.0), p, f"layer{i}.ffn.fc2", grads)
         df1 = dfa * (lc["f1"] > 0)
-        dnorm2 = _affine_backward(df1, lc["norm2"], p, f"layer{i}.ffn.fc1", grads)
+        norm2 = _scale_shift(lc["ln2"]["xhat"], p, f"layer{i}.ln2")
+        dnorm2 = _affine_backward(df1, norm2, p, f"layer{i}.ffn.fc1", grads)
         dh = dh + _norm_backward(dnorm2, lc["ln2"], p, f"layer{i}.ln2", grads)
         dnorm1 = _attn_backward(dh, lc["attn"], p, f"layer{i}.attn", cfg.num_heads, grads)
         dh = dh + _norm_backward(dnorm1, lc["ln1"], p, f"layer{i}.ln1", grads)
 
     # positional encoding is additive and constant
     dz2 = _norm_backward(dh * (cache["bn2_out"] > 0), cache["bn2"], p, "proj.bn2", grads)
-    da1 = _affine_backward(dz2, cache["a1"], p, "proj.fc2", grads)
+    da1 = _affine_backward(dz2, np.maximum(cache["bn1_out"], 0.0), p, "proj.fc2", grads)
     dz1 = _norm_backward(da1 * (cache["bn1_out"] > 0), cache["bn1"], p, "proj.bn1", grads)
     _affine_backward(dz1, cache["x"], p, "proj.fc1", grads, input_grad=False)
 
@@ -361,7 +370,7 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(struct.pack("<I", arr.ndim))
     for dim in arr.shape:
         f.write(struct.pack("<I", dim))
-    f.write(arr.tobytes())
+    f.write(arr)  # its own buffer, not a bytes copy; a zero-size one too
 
 
 def save_checkpoint(
@@ -370,19 +379,28 @@ def save_checkpoint(
     params: EncoderParams,
     extra: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Named-tensor container: params, running stats ("buffer.*"), extras."""
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for name in sorted(params.tensors):
-            _write_tensor(f, name, params.tensors[name])
-        for name in sorted(params.buffers):
-            _write_tensor(f, f"buffer.{name}", params.buffers[name])
-        for name in sorted(extra or {}):
-            _write_tensor(f, f"extra.{name}", extra[name])
+    """Named-tensor container: params, running stats ("buffer.*"), extras.
+    The file is written next to `path` and then renamed onto it, so a write
+    that fails or is interrupted leaves any earlier checkpoint at `path` whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for name in sorted(params.tensors):
+                _write_tensor(f, name, params.tensors[name])
+            for name in sorted(params.buffers):
+                _write_tensor(f, f"buffer.{name}", params.buffers[name])
+            for name in sorted(extra or {}):
+                _write_tensor(f, f"extra.{name}", extra[name])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _checkpoint_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -403,61 +421,74 @@ def load_checkpoint(
 ) -> tuple[EncoderConfig, EncoderParams, dict[str, np.ndarray]]:
     """Read a checkpoint written by `save_checkpoint`. Every read is bounds
     checked, and the tensors and buffers must match the schema of the stored
-    config exactly; any violation, or a non-finite value, is a FormatError."""
+    config exactly; any violation, or a non-finite value, is a FormatError.
+    Each payload is read from the file straight into its own float32 array, so
+    the file's bytes are held once."""
     path = Path(path)
-    blob = path.read_bytes()
-    off = 0
+    with open(path, "rb") as f:
+        size, off = os.fstat(f.fileno()).st_size, 0
 
-    def take(size: int, what: str) -> bytes:
-        nonlocal off
-        if off + size > len(blob):
-            raise FormatError(f"{path}: truncated {what} at byte {off}")
-        off += size
-        return blob[off - size : off]
+        def take(nbytes: int, what: str, dims: tuple[int, ...] | None = None):
+            """The next nbytes of the file: bytes, or, given dims, a new float32
+            array of that shape read in place. A read past the end of the file
+            is a FormatError, checked before anything is allocated."""
+            nonlocal off
+            if off + nbytes > size:
+                raise FormatError(f"{path}: truncated {what} at byte {off}")
+            if dims is None:
+                out = f.read(nbytes)
+                got = len(out)
+            else:
+                out = np.empty(dims, dtype="<f4")
+                got = f.readinto(out)
+            if got != nbytes:  # the file shrank since it was opened
+                raise FormatError(f"{path}: truncated {what} at byte {off + got}")
+            off += nbytes
+            return out
 
-    def u32(what: str) -> int:
-        return struct.unpack("<I", take(4, what))[0]
+        def u32(what: str) -> int:
+            return struct.unpack("<I", take(4, what))[0]
 
-    if take(4, "magic") != CKPT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    version = u32("version")
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    cfg_blob = take(u32("config length"), "config blob")
-    try:
-        fields = json.loads(cfg_blob.decode("utf-8"))
-        # checkpoints from before dropout was removed carry "dropout": 0.0
-        dropout = fields.pop("dropout", 0.0)
-        cfg = EncoderConfig(**fields)
-    except (ValueError, TypeError, AttributeError, RecursionError, ConfigError) as exc:
-        raise FormatError(f"{path}: invalid config blob: {exc}") from exc
-    if dropout != 0.0:
-        raise FormatError(f"{path}: dropout={dropout!r} is not supported")
-
-    expected = _checkpoint_shapes(cfg)
-    records: dict[str, np.ndarray] = {}
-    while off < len(blob):
-        raw_name = take(u32("tensor name length"), "tensor name")
+        if take(4, "magic") != CKPT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint (bad magic)")
+        version = u32("version")
+        if version != CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        cfg_blob = take(u32("config length"), "config blob")
         try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: tensor name {raw_name!r} is not UTF-8") from exc
-        rank = u32(f"rank of {name!r}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
-        if name in records:
-            raise FormatError(f"{path}: duplicate tensor {name!r}")
-        if not name.startswith("extra."):
-            if name not in expected:
-                raise FormatError(f"{path}: unknown tensor {name!r}")
-            if dims != expected[name]:
-                raise FormatError(
-                    f"{path}: tensor {name!r} has shape {dims}, expected {expected[name]}"
-                )
-        payload = take(4 * math.prod(dims), f"payload of {name!r}")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: tensor {name!r} has non-finite values")
-        records[name] = arr.astype(np.float32)
+            fields = json.loads(cfg_blob.decode("utf-8"))
+            # checkpoints from before dropout was removed carry "dropout": 0.0
+            dropout = fields.pop("dropout", 0.0)
+            cfg = EncoderConfig(**fields)
+        except (ValueError, TypeError, AttributeError, RecursionError, ConfigError) as exc:
+            raise FormatError(f"{path}: invalid config blob: {exc}") from exc
+        if dropout != 0.0:
+            raise FormatError(f"{path}: dropout={dropout!r} is not supported")
+
+        expected = _checkpoint_shapes(cfg)
+        records: dict[str, np.ndarray] = {}
+        while off < size:
+            raw_name = take(u32("tensor name length"), "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: tensor name {raw_name!r} is not UTF-8") from exc
+            rank = u32(f"rank of {name!r}")
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+            if name in records:
+                raise FormatError(f"{path}: duplicate tensor {name!r}")
+            if not name.startswith("extra."):
+                if name not in expected:
+                    raise FormatError(f"{path}: unknown tensor {name!r}")
+                if dims != expected[name]:
+                    raise FormatError(
+                        f"{path}: tensor {name!r} has shape {dims}, expected {expected[name]}"
+                    )
+            arr = take(4 * math.prod(dims), f"payload of {name!r}", dims)
+            # min and max are NaN if any value is, and hold any infinity
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise FormatError(f"{path}: tensor {name!r} has non-finite values")
+            records[name] = arr
     missing = sorted(expected.keys() - records.keys())
     if missing:
         raise FormatError(f"{path}: missing tensors {missing}")

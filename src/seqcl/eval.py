@@ -207,10 +207,15 @@ def kendalls_tau(emb1: np.ndarray, emb2: np.ndarray) -> float:
 def _top_k(scores: np.ndarray, K: int) -> np.ndarray:
     """(rows, K) column indices of each row's K highest scores, best first.
 
-    The order is that of a stable descending sort: equal scores rank by lower
-    column index and NaN ranks last. A partition finds each row's K-th best
-    score; a row where exactly K scores reach it needs only those K sorted,
-    and any other row (a tie across the K-th place, or NaN) is fully sorted.
+    The order is that of a stable descending sort: only bit-equal scores tie,
+    and those rank by lower column index; NaN ranks last. Identical candidate
+    embeddings need not score bit-equal, since BLAS may round a GEMM's edge
+    tiles differently, so duplicate frames rank by their exact scores, which
+    can depend on the pool size and the machine.
+
+    A partition finds each row's K-th best score; a row where exactly K scores
+    reach it needs only those K sorted, and any other row (a tie across the
+    K-th place, or NaN) is fully sorted.
     """
     if K < 1:
         raise ConfigError(f"K must be >= 1, got {K}")

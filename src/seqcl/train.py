@@ -84,13 +84,17 @@ def adam_step(
 
 def _pair_loss_and_grads(state, enc_cfg, scl_cfg, optim_cfg, pair, scale, grads_out):
     """One (2, T, D) forward, loss and backward into grads_out; returns the loss,
-    or None when the baseline loss has no timestamp matches for this pair."""
+    or None when the baseline loss has no timestamp matches for this pair.
+    Of the pair only the stacked features and the timestamps are kept, so the
+    views are freed before the forward when the caller holds no reference."""
     x = np.stack((pair.view1.features, pair.view2.features))
+    s1, s2 = pair.view1.timestamps, pair.view2.timestamps
+    del pair
     emb, cache = enc.forward(state.params, enc_cfg, x, train=True)
     if optim_cfg.loss_kind == "scl":
-        loss, grad_Z = scl_loss(*emb.Z, pair.view1.timestamps, pair.view2.timestamps, scl_cfg)
+        loss, grad_Z = scl_loss(*emb.Z, s1, s2, scl_cfg)
     else:
-        matches = timestamp_correspondence(pair.view1.timestamps, pair.view2.timestamps)
+        matches = timestamp_correspondence(s1, s2)
         if not matches:
             return None
         loss, grad_Z = baseline_contrastive_loss(*emb.Z, matches, scl_cfg.tau)
@@ -119,9 +123,9 @@ def train_epoch(
         grads = {k: np.zeros_like(t) for k, t in state.params.tensors.items()}
         losses = []
         for rec in batch:
-            pair = build_view_pair(rec, aug_cfg, rng)
-            loss = _pair_loss_and_grads(
-                state, enc_cfg, scl_cfg, optim_cfg, pair, 1.0 / len(batch), grads
+            loss = _pair_loss_and_grads(  # no local keeps the pair: its views die once stacked
+                state, enc_cfg, scl_cfg, optim_cfg, build_view_pair(rec, aug_cfg, rng),
+                1.0 / len(batch), grads,
             )
             if loss is not None:
                 losses.append(loss)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,23 @@ def test_build_view_pair_deterministic():
     b = build_view_pair(rec, cfg, np.random.default_rng(9))
     assert np.array_equal(a.view1.features, b.view1.features)
     assert np.array_equal(a.view2.timestamps, b.view2.timestamps)
+
+
+def test_view_features_are_the_float32_cast_of_float64_jitter():
+    # the noise is drawn and added in float64 and the sum cast once, to the
+    # record's float32; a cloned rng replays the draws of build_view_pair
+    rec = VideoRecord(id="v", features=np.random.default_rng(6).standard_normal((60, 5)))
+    cfg = AugmentConfig(T=16, jitter_std=0.1, jitter_dropout=0.2)
+    rng = np.random.default_rng(7)
+    clone = copy.deepcopy(rng)
+    pair = build_view_pair(rec, cfg, rng)
+    for w, view in zip(crop_pair(rec.num_frames, cfg, clone), (pair.view1, pair.view2)):
+        ts = sample_frames(w, cfg.T, cfg.sampling, clone)
+        noisy = rec.features[ts] + clone.normal(0.0, cfg.jitter_std, size=(cfg.T, 5))
+        expected = (noisy * (clone.random(5) >= cfg.jitter_dropout)).astype(np.float32)
+        assert view.features.dtype == np.float32
+        assert np.array_equal(view.timestamps, ts)
+        assert np.array_equal(view.features, expected)
 
 
 def test_build_view_pair_timestamps_inside_video():

@@ -49,6 +49,8 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert first["result"]["metrics"]["eval_s"]["value"] == 1.0
     summary = doc["summary"]["w"]
     assert summary["eval_s"] == {"better": "lower", "change_better_pairs": 2, "pairs": 3,
-                                 "parent_median": 2.0, "change_median": 1.5}
+                                 "parent_median": 2.0, "change_median": 1.5,
+                                 "parent_q1": 2.0, "parent_q3": 2.0, "parent_iqr": 0.0,
+                                 "change_q1": 1.25, "change_q3": 2.25}
     assert summary["ops_ok_ratio"]["change_better_pairs"] == 0
     assert "unlisted" not in summary

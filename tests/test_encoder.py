@@ -546,3 +546,65 @@ def test_checkpoint_with_nonzero_dropout_rejected(tmp_path):
     rewrite_config_blob(p, dropout=0.5)
     with pytest.raises(FormatError):
         enc.load_checkpoint(p)
+
+
+def test_checkpoint_header_beyond_the_file_rejected_before_allocating(tmp_path):
+    # a header that claims a (65536, 65536) tensor, 16 GiB, over a few payload
+    # bytes: truncated, found before the payload's array is allocated
+    cfg = tiny_encoder_cfg()
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
+    name = b"extra.huge"
+    header = struct.pack("<I", len(name)) + name + struct.pack("<III", 2, 65536, 65536)
+    p.write_bytes(p.read_bytes() + header + bytes(12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated payload of 'extra.huge'"):
+            enc.load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_checkpoint_load_holds_the_file_once(tmp_path):
+    # each payload is read into its own array, not into a copy of the file
+    cfg = tiny_encoder_cfg()
+    big = np.random.default_rng(40).standard_normal((4096, 1024)).astype(np.float32)
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0), extra={"big": big})
+    size = p.stat().st_size
+    assert size >= 16 * 2**20
+    tracemalloc.start()
+    try:
+        _, _, extra = enc.load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(extra["big"], big) and extra["big"].flags.writeable
+    assert peak < 1.25 * size
+
+
+def test_failed_save_leaves_the_earlier_checkpoint(tmp_path, monkeypatch):
+    cfg = tiny_encoder_cfg()
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
+    saved = p.read_bytes()
+    write_tensor, calls = enc._write_tensor, []
+
+    def failing(f, name, arr):
+        calls.append(name)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        write_tensor(f, name, arr)
+
+    monkeypatch.setattr(enc, "_write_tensor", failing)
+    with pytest.raises(OSError, match="disk full"):
+        enc.save_checkpoint(p, cfg, enc.init_params(cfg, 1))
+    assert len(calls) == 5
+    assert p.read_bytes() == saved
+    assert [q.name for q in tmp_path.iterdir()] == ["model.ckpt"]
+    _, params, _ = enc.load_checkpoint(p)
+    expected = enc.init_params(cfg, 0)
+    for name in expected.tensors:
+        assert np.array_equal(params.tensors[name], expected.tensors[name].astype(np.float32))

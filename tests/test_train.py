@@ -1,18 +1,20 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import tiny_encoder_cfg
 from seqcl import encoder as enc
-from seqcl.augment import AugmentConfig
-from seqcl.data import SyntheticSpec, generate_synthetic
+from seqcl.augment import AugmentConfig, build_view_pair
+from seqcl.data import SyntheticSpec, VideoRecord, generate_synthetic
 from seqcl.errors import ConfigError, FormatError, NumericError
 from seqcl.loss import SCLConfig
 from seqcl.train import (
     OptimConfig,
     TrainState,
     _moments_as_tensors,
+    _pair_loss_and_grads,
     adam_step,
     cosine_lr,
     fit,
@@ -260,3 +262,29 @@ def test_baseline_loss_training_runs():
     split, aug, ecfg, scl, optim = _tiny_setup(epochs=1, loss_kind="frame")
     state, curve = fit(split, aug, ecfg, scl, optim)
     assert len(curve) == 1 and np.isfinite(curve[0][1])
+
+
+def test_paper_shape_training_pair_memory_bounded():
+    # One float32 paper-encoder step on a real T=240 view pair, as train_epoch
+    # makes it: gradient dict, jittered views, forward, SCL loss, backward.
+    # The views are float32 and freed once stacked, and the forward caches
+    # ReLU inputs, not outputs: 48.4 MiB, against 70.9 MiB with float64 views
+    # and every activation cached (2 vCPU, numpy 2.4).
+    cfg = enc.EncoderConfig(input_dim=2048, model_dim=256, num_layers=3, num_heads=8,
+                            ffn_dim=1024, out_dim=128, proj_hidden=256, proj_out=128)
+    init = enc.init_params(cfg, 41)
+    state = TrainState.fresh(enc.EncoderParams(
+        tensors={k: t.astype(np.float32) for k, t in init.tensors.items()},
+        buffers={k: b.astype(np.float32) for k, b in init.buffers.items()}))
+    rec = VideoRecord(id="v", features=np.random.default_rng(42).standard_normal((300, 2048)))
+    aug, rng = AugmentConfig(T=240, jitter_std=0.1), np.random.default_rng(43)
+    tracemalloc.start()
+    try:
+        grads = {k: np.zeros_like(t) for k, t in state.params.tensors.items()}
+        loss = _pair_loss_and_grads(state, cfg, SCLConfig(), OptimConfig(),
+                                    build_view_pair(rec, aug, rng), 1.0, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+    assert peak < 56 * 2**20

@@ -15,8 +15,9 @@ provenance (git sha, Python, numpy, BLAS, CPU count) and the evaluation
 report. It also keeps the git tree of `src/` when the checkout is a clean git
 clone, so a run of an unmerged commit can be matched to the tree that was
 merged. The file is rewritten after every pair.
-It ends with a per-metric summary of the measured pairs: both medians, and in
-how many pairs the change was better, by the direction BENCHMARK.json gives.
+It ends with a per-metric summary of the measured pairs: each side's median
+and quartiles, the parent's interquartile range, and in how many pairs the
+change was better, by the direction BENCHMARK.json gives.
 """
 
 from __future__ import annotations
@@ -64,9 +65,20 @@ def src_tree(checkout: Path) -> str | None:
     return tree.stdout.strip()
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """(q1, q3), interpolated linearly between the sorted values (numpy's
+    default percentile); one value is both quartiles."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: the medians of both sides over the pairs, and
-    the number of pairs in which the change was strictly better."""
+    """Per workload and metric: the median and quartiles of both sides over
+    the pairs, the parent's interquartile range, and the number of pairs in
+    which the change was strictly better. A gain is claimed when the change is
+    better in nine of ten pairs and the medians differ by more than that range."""
     out: dict = {}
     for pair in pairs:
         for name in pair["parent"]["result"]["metrics"]:
@@ -82,8 +94,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             entry["change_better_pairs"] = sum(
                 sign * (c - p) > 0 for p, c in zip(entry["parent"], entry["change"]))
             entry["pairs"] = len(entry["parent"])
-            entry["parent_median"] = statistics.median(entry.pop("parent"))
-            entry["change_median"] = statistics.median(entry.pop("change"))
+            for side in ("parent", "change"):
+                values = entry.pop(side)
+                entry[f"{side}_median"] = statistics.median(values)
+                entry[f"{side}_q1"], entry[f"{side}_q3"] = quartiles(values)
+            entry["parent_iqr"] = entry["parent_q3"] - entry["parent_q1"]
     return out
 
 
