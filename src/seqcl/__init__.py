@@ -6,7 +6,7 @@ gap between frames, then evaluates the frozen embeddings with linear probes,
 Kendall's tau, AP@K retrieval and DTW alignment.
 """
 
-from .augment import AugmentConfig, AugmentedView, ViewPair, build_view_pair
+from .augment import AugmentConfig, build_view_pair
 from .data import (
     DatasetSplit,
     SyntheticSpec,

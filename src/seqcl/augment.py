@@ -10,7 +10,7 @@ keeps its raw-video timestamp; the contrastive loss consumes those timestamps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,41 +33,12 @@ class AugmentConfig:
         check_fields(self)
 
 
-@dataclass
-class AugmentedView:
-    features: np.ndarray  # (T, D)
-    timestamps: np.ndarray  # (T,) raw-video frame indices, strictly increasing
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps)
-        if not (np.diff(self.timestamps) > 0).all():
-            raise SeqclError("view timestamps must be strictly increasing")
-
-
-@dataclass
-class ViewPair:
-    view1: AugmentedView
-    view2: AugmentedView
-
-
-def pad_if_short(record: VideoRecord, T: int) -> VideoRecord:
-    """Append zero-feature frames until the video has at least T frames.
-
-    Padding frames repeat the last real frame's label.
-    """
-    s = record.num_frames
+def pad_if_short(features: np.ndarray, T: int) -> np.ndarray:
+    """Append zero frames until the (S, D) features have at least T frames."""
+    s = features.shape[0]
     if s >= T:
-        return record
-    pad = np.zeros((T - s, record.feature_dim), dtype=record.features.dtype)
-    labels = None
-    if record.phase_labels is not None:
-        labels = record.phase_labels + [record.phase_labels[-1]] * (T - s)
-    return VideoRecord(
-        id=record.id,
-        features=np.concatenate([record.features, pad]),
-        phase_labels=labels,
-        action_label=record.action_label,
-    )
+        return features
+    return np.concatenate([features, np.zeros((T - s, features.shape[1]), features.dtype)])
 
 
 def _draw_window(S: int, T: int, alpha: float, rng: np.random.Generator) -> tuple[int, int]:
@@ -133,31 +104,32 @@ def sample_frames(
 
 
 def feature_jitter(
-    view: AugmentedView, cfg: AugmentConfig, rng: np.random.Generator
-) -> AugmentedView:
+    feats: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
+) -> np.ndarray:
     """Gaussian noise per entry plus a per-view feature-dimension dropout mask.
 
     One mask is shared by all frames of the view, so the corruption is
-    temporally consistent. The noise is drawn and added in float64, and the
-    result is cast back to the view's dtype, the record's float32.
+    temporally consistent. The noise is drawn and added in float64; the caller
+    casts the result to the record's float32 on assignment.
     """
-    feats = view.features
     if cfg.jitter_std > 0:
         feats = feats + rng.normal(0.0, cfg.jitter_std, size=feats.shape)
     if cfg.jitter_dropout > 0:
         keep = rng.random(feats.shape[1]) >= cfg.jitter_dropout
         feats = feats * keep
-    return replace(view, features=feats.astype(view.features.dtype, copy=False))
+    return feats
 
 
 def build_view_pair(
     record: VideoRecord, cfg: AugmentConfig, rng: np.random.Generator
-) -> ViewPair:
-    record = pad_if_short(record, cfg.T)
-    w1, w2 = crop_pair(record.num_frames, cfg, rng)
-    views = []
-    for w in (w1, w2):
-        ts = sample_frames(w, cfg.T, cfg.sampling, rng)
-        view = AugmentedView(features=record.features[ts], timestamps=ts)
-        views.append(feature_jitter(view, cfg, rng))
-    return ViewPair(view1=views[0], view2=views[1])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two augmented views of a record: (2, T, D) features in the record's
+    dtype and their (2, T) int64 raw-video timestamps, each row strictly
+    increasing."""
+    feats = pad_if_short(record.features, cfg.T)
+    x = np.empty((2, cfg.T, feats.shape[1]), feats.dtype)
+    ts = np.empty((2, cfg.T), np.int64)
+    for v, w in enumerate(crop_pair(feats.shape[0], cfg, rng)):
+        ts[v] = sample_frames(w, cfg.T, cfg.sampling, rng)
+        x[v] = feature_jitter(feats[ts[v]], cfg, rng)
+    return x, ts

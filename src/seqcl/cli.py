@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import data as data_mod
@@ -102,31 +103,30 @@ def cmd_train(cfg: RunConfig, args) -> None:
     print(f"trained {cfg.optim.epochs} epochs, final loss {final:.6f}, checkpoint {ckpt}")
 
 
-def cmd_eval(cfg: RunConfig, args) -> None:
-    split = data_mod.load_dataset(_require(Path(cfg.data_dir), "data dir"))
-    enc_cfg, params, _ = load_checkpoint(_require(Path(cfg.checkpoint), "checkpoint"))
-    report = eval_mod.evaluate(params, enc_cfg, split, probe=cfg.probe)
-    out = Path(args.out or cfg.report)
-    payload = json.loads(report.to_json())
-    payload["config"] = cfg.to_dict()  # provenance: the effective config
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(report.to_json(), end="")
-
-
 def _load_videos(cfg: RunConfig, *needed: str):
-    """The dataset's records by id, which must include `needed`, and the
-    checkpoint's encoder."""
+    """The dataset split, its records by id, which must include `needed`, and
+    the checkpoint's encoder."""
     split = data_mod.load_dataset(_require(Path(cfg.data_dir), "data dir"))
     enc_cfg, params, _ = load_checkpoint(_require(Path(cfg.checkpoint), "checkpoint"))
     records = {r.id: r for r in split.train + split.test}
     for vid in needed:
         if vid not in records:
             raise FileNotFoundError(f"video id not in dataset: {vid}")
-    return records, enc_cfg, params
+    return split, records, enc_cfg, params
+
+
+def cmd_eval(cfg: RunConfig, args) -> None:
+    split, _, enc_cfg, params = _load_videos(cfg)
+    report = eval_mod.evaluate(params, enc_cfg, split, probe=cfg.probe)
+    out = Path(args.out or cfg.report)
+    payload = json.loads(report.to_json())
+    payload["config"] = asdict(cfg)  # provenance: the effective config
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(report.to_json(), end="")
 
 
 def cmd_align(cfg: RunConfig, args) -> None:
-    records, enc_cfg, params = _load_videos(cfg, args.video_a, args.video_b)
+    _, records, enc_cfg, params = _load_videos(cfg, args.video_a, args.video_b)
     pair = [records[args.video_a], records[args.video_b]]
     sim = cosine_similarities(*eval_mod.embed_dataset(params, enc_cfg, pair))
     path, cost = eval_mod.dtw_align(sim)
@@ -137,7 +137,7 @@ def cmd_align(cfg: RunConfig, args) -> None:
 
 
 def cmd_retrieve(cfg: RunConfig, args) -> None:
-    records, enc_cfg, params = _load_videos(cfg, args.video)
+    _, records, enc_cfg, params = _load_videos(cfg, args.video)
     if not 0 <= args.frame < records[args.video].num_frames:
         raise ConfigError(f"frame {args.frame} out of range for {args.video}")
     embs = dict(zip(records, eval_mod.embed_dataset(params, enc_cfg, list(records.values()))))

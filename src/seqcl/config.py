@@ -6,7 +6,7 @@ sub-stream of it (see `train.TRAIN_STREAM`)."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,9 +34,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _json_object(value, where: str) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_fields, rule
+from .errors import NumericError, check_fields, rule
 
 
 @dataclass
@@ -109,32 +109,18 @@ def scl_loss(
     return _both_directions(Z1, Z2, W12, W21, cfg.tau)
 
 
-def timestamp_correspondence(s1: np.ndarray, s2: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs (i, j) of frames sharing the identical raw timestamp."""
-    pos2 = {int(t): j for j, t in enumerate(s2)}
-    return [(i, pos2[int(t)]) for i, t in enumerate(s1) if int(t) in pos2]
-
-
 def baseline_contrastive_loss(
-    Z1: np.ndarray,
-    Z2: np.ndarray,
-    correspondence: list[tuple[int, int]],
-    tau: float,
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Per-frame contrastive baseline: the positive of frame i is its
-    timestamp-matched frame in the other view; all other frames of that view
+    Z1: np.ndarray, Z2: np.ndarray, s1: np.ndarray, s2: np.ndarray, cfg: SCLConfig
+) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+    """Per-frame contrastive baseline: the positive of frame i is the frame of
+    the other view with the same raw timestamp; all other frames of that view
     are negatives. Averaged over matched frames, both directions summed.
 
     This is the SCL cross-entropy with one-hot targets in place of the
-    Gaussian rows, so the correspondence must be one-to-one.
+    Gaussian rows; each view's timestamps are strictly increasing, so the
+    targets are one-to-one. Returns None when the views share no timestamp.
     """
-    if not correspondence:
-        raise NumericError("empty correspondence: views share no timestamps")
-    if tau <= 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    rows, cols = zip(*correspondence)
-    if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
-        raise ConfigError("correspondence must be one-to-one")
-    W = np.zeros((Z1.shape[0], Z2.shape[0]))
-    W[list(rows), list(cols)] = 1.0
-    return _both_directions(Z1, Z2, W, W.T, tau)
+    W = np.equal.outer(s1, s2).astype(np.float64)
+    if not W.any():
+        return None
+    return _both_directions(Z1, Z2, W, W.T, cfg.tau)

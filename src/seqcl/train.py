@@ -13,7 +13,7 @@ from . import encoder as enc
 from .augment import AugmentConfig, build_view_pair
 from .data import DatasetSplit
 from .errors import ConfigError, FormatError, NumericError, check_fields, rule
-from .loss import SCLConfig, baseline_contrastive_loss, scl_loss, timestamp_correspondence
+from .loss import SCLConfig, baseline_contrastive_loss, scl_loss
 
 # The training rng is np.random.default_rng([seed, TRAIN_STREAM]): a sub-stream
 # of the run seed that shuffles batches and draws every view pair.
@@ -84,20 +84,14 @@ def adam_step(
 
 def _pair_loss_and_grads(state, enc_cfg, scl_cfg, optim_cfg, pair, scale, grads_out):
     """One (2, T, D) forward, loss and backward into grads_out; returns the loss,
-    or None when the baseline loss has no timestamp matches for this pair.
-    Of the pair only the stacked features and the timestamps are kept, so the
-    views are freed before the forward when the caller holds no reference."""
-    x = np.stack((pair.view1.features, pair.view2.features))
-    s1, s2 = pair.view1.timestamps, pair.view2.timestamps
-    del pair
+    or None when the baseline loss has no timestamp matches for this pair."""
+    x, (s1, s2) = pair
     emb, cache = enc.forward(state.params, enc_cfg, x, train=True)
-    if optim_cfg.loss_kind == "scl":
-        loss, grad_Z = scl_loss(*emb.Z, s1, s2, scl_cfg)
-    else:
-        matches = timestamp_correspondence(s1, s2)
-        if not matches:
-            return None
-        loss, grad_Z = baseline_contrastive_loss(*emb.Z, matches, scl_cfg.tau)
+    loss_fn = scl_loss if optim_cfg.loss_kind == "scl" else baseline_contrastive_loss
+    result = loss_fn(*emb.Z, s1, s2, scl_cfg)
+    if result is None:
+        return None
+    loss, grad_Z = result
     enc.backward(state.params, enc_cfg, cache, np.stack(grad_Z) * scale, grads_out)
     return loss
 
@@ -123,7 +117,7 @@ def train_epoch(
         grads = {k: np.zeros_like(t) for k, t in state.params.tensors.items()}
         losses = []
         for rec in batch:
-            loss = _pair_loss_and_grads(  # no local keeps the pair: its views die once stacked
+            loss = _pair_loss_and_grads(
                 state, enc_cfg, scl_cfg, optim_cfg, build_view_pair(rec, aug_cfg, rng),
                 1.0 / len(batch), grads,
             )

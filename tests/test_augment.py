@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from seqcl.augment import (
     AugmentConfig,
-    AugmentedView,
     build_view_pair,
     crop_pair,
     feature_jitter,
@@ -18,24 +17,34 @@ from seqcl.data import VideoRecord
 from seqcl.errors import ConfigError, SeqclError
 
 
-def make_record(s, d=4, labels=True):
-    feats = np.arange(s * d, dtype=np.float32).reshape(s, d)
-    pl = list(np.linspace(0, 2, s).astype(int)) if labels else None
-    return VideoRecord(id="v", features=feats, phase_labels=pl)
+def make_record(s, d=4):
+    return VideoRecord(id="v", features=np.arange(s * d, dtype=np.float32).reshape(s, d))
 
 
 def test_pad_noop_when_long_enough():
     rec = make_record(300)
-    assert pad_if_short(rec, 240) is rec
+    assert pad_if_short(rec.features, 240) is rec.features
 
 
-def test_pad_appends_zero_frames_with_last_label():
+def test_pad_appends_zero_frames():
     rec = make_record(100)
-    padded = pad_if_short(rec, 240)
-    assert padded.num_frames == 240
-    assert np.array_equal(padded.features[:100], rec.features)
-    assert not padded.features[100:].any()
-    assert padded.phase_labels[100:] == [rec.phase_labels[-1]] * 140
+    padded = pad_if_short(rec.features, 240)
+    assert padded.shape == (240, 4) and padded.dtype == np.float32
+    assert np.array_equal(padded[:100], rec.features)
+    assert not padded[100:].any()
+
+
+def test_build_view_pair_pads_a_short_video_with_zero_frames():
+    # S < T: timestamps below S pick the record's frames, the rest the zero
+    # frames appended after them
+    S, T = 10, 16
+    rec = make_record(S)
+    x, ts = build_view_pair(rec, AugmentConfig(T=T), np.random.default_rng(8))
+    assert x.shape == (2, T, 4) and ts.shape == (2, T)
+    assert (np.diff(ts, axis=1) > 0).all() and ts.min() >= 0 and ts.max() < T
+    real = ts < S
+    assert np.array_equal(x[real], rec.features[ts[real]])
+    assert not x[~real].any()
 
 
 def test_crop_constraints_hold():
@@ -115,14 +124,10 @@ def test_sample_inclusion_probability():
     assert (np.abs(counts / trials - p) < bound + 0.01).all()
 
 
-def _view(t=8, d=6):
-    return AugmentedView(features=np.ones((t, d)), timestamps=np.arange(t))
-
-
 def test_jitter_identity_when_disabled():
     cfg = AugmentConfig(T=8, jitter_std=0.0, jitter_dropout=0.0)
-    out = feature_jitter(_view(), cfg, np.random.default_rng(0))
-    assert np.array_equal(out.features, _view().features)
+    out = feature_jitter(np.ones((8, 6)), cfg, np.random.default_rng(0))
+    assert np.array_equal(out, np.ones((8, 6)))
 
 
 def test_jitter_dropout_one_rejected():
@@ -136,9 +141,9 @@ def test_jitter_dropout_fraction():
     zeroed = 0
     trials, d = 10000, 20
     for _ in range(trials):
-        out = feature_jitter(AugmentedView(np.ones((4, d)), np.arange(4)), cfg, rng)
-        dead = (out.features == 0).all(axis=0)
-        assert ((out.features == 0).all(axis=0) | (out.features == 1).all(axis=0)).all()
+        out = feature_jitter(np.ones((4, d)), cfg, rng)
+        dead = (out == 0).all(axis=0)
+        assert ((out == 0).all(axis=0) | (out == 1).all(axis=0)).all()
         zeroed += dead.sum()
     assert abs(zeroed / (trials * d) - 0.5) < 0.02
 
@@ -146,10 +151,8 @@ def test_jitter_dropout_fraction():
 def test_build_view_pair_deterministic():
     rec = make_record(60)
     cfg = AugmentConfig(T=16, jitter_std=0.1, jitter_dropout=0.1)
-    a = build_view_pair(rec, cfg, np.random.default_rng(9))
-    b = build_view_pair(rec, cfg, np.random.default_rng(9))
-    assert np.array_equal(a.view1.features, b.view1.features)
-    assert np.array_equal(a.view2.timestamps, b.view2.timestamps)
+    (xa, tsa), (xb, tsb) = (build_view_pair(rec, cfg, np.random.default_rng(9)) for _ in "ab")
+    assert np.array_equal(xa, xb) and np.array_equal(tsa, tsb)
 
 
 def test_view_features_are_the_float32_cast_of_float64_jitter():
@@ -159,14 +162,14 @@ def test_view_features_are_the_float32_cast_of_float64_jitter():
     cfg = AugmentConfig(T=16, jitter_std=0.1, jitter_dropout=0.2)
     rng = np.random.default_rng(7)
     clone = copy.deepcopy(rng)
-    pair = build_view_pair(rec, cfg, rng)
-    for w, view in zip(crop_pair(rec.num_frames, cfg, clone), (pair.view1, pair.view2)):
-        ts = sample_frames(w, cfg.T, cfg.sampling, clone)
-        noisy = rec.features[ts] + clone.normal(0.0, cfg.jitter_std, size=(cfg.T, 5))
+    x, ts = build_view_pair(rec, cfg, rng)
+    assert x.dtype == np.float32 and ts.dtype == np.int64
+    for v, w in enumerate(crop_pair(rec.num_frames, cfg, clone)):
+        s = sample_frames(w, cfg.T, cfg.sampling, clone)
+        noisy = rec.features[s] + clone.normal(0.0, cfg.jitter_std, size=(cfg.T, 5))
         expected = (noisy * (clone.random(5) >= cfg.jitter_dropout)).astype(np.float32)
-        assert view.features.dtype == np.float32
-        assert np.array_equal(view.timestamps, ts)
-        assert np.array_equal(view.features, expected)
+        assert np.array_equal(ts[v], s)
+        assert np.array_equal(x[v], expected)
 
 
 def test_build_view_pair_timestamps_inside_video():
@@ -174,10 +177,10 @@ def test_build_view_pair_timestamps_inside_video():
     cfg = AugmentConfig(T=16)
     rng = np.random.default_rng(10)
     for _ in range(50):
-        pair = build_view_pair(rec, cfg, rng)
-        for view in (pair.view1, pair.view2):
-            assert view.timestamps.min() >= 0 and view.timestamps.max() < 60
-            assert np.array_equal(view.features, rec.features[view.timestamps])
+        x, ts = build_view_pair(rec, cfg, rng)
+        assert ts.min() >= 0 and ts.max() < 60
+        assert (np.diff(ts, axis=1) > 0).all()
+        assert np.array_equal(x, rec.features[ts])
 
 
 def test_views_sample_independently_inside_overlapping_windows():
@@ -187,10 +190,7 @@ def test_views_sample_independently_inside_overlapping_windows():
     cfg = AugmentConfig(T=8, alpha=1.5, beta=1.0)
     rng = np.random.default_rng(11)
     differing = sum(
-        not np.array_equal(
-            (p := build_view_pair(rec, cfg, rng)).view1.timestamps, p.view2.timestamps
-        )
-        for _ in range(50)
+        not np.array_equal(*build_view_pair(rec, cfg, rng)[1]) for _ in range(50)
     )
     assert differing > 0
 
@@ -200,8 +200,8 @@ def test_forced_identical_views_at_alpha_one_beta_one():
     cfg = AugmentConfig(T=8, alpha=1.0, beta=1.0)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        pair = build_view_pair(rec, cfg, rng)
-        assert np.array_equal(pair.view1.timestamps, pair.view2.timestamps)
+        _, ts = build_view_pair(rec, cfg, rng)
+        assert np.array_equal(ts[0], ts[1])
 
 
 @settings(max_examples=50, deadline=None)

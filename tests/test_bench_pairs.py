@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_pairs  # noqa: E402
@@ -28,7 +30,7 @@ def _checkout(root, values):
     (root / "perfbench" / "run.py").write_text(STUB)
     (root / "values.txt").write_text(" ".join(map(str, values)))
     spec = {"end_to_end": [{"name": "eval_s", "better": "lower"},
-                           {"name": "ops_ok_ratio", "better": "higher"}]}
+                           {"name": "ops_ok_ratio", "better": "higher", "bound": 0.01}]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     return root
 
@@ -53,4 +55,39 @@ def test_pairs_alternate_and_summarize(tmp_path):
                                  "parent_q1": 2.0, "parent_q3": 2.0, "parent_iqr": 0.0,
                                  "change_q1": 1.25, "change_q3": 2.25}
     assert summary["ops_ok_ratio"]["change_better_pairs"] == 0
+    assert summary["ops_ok_ratio"]["verdict"] == "ok"  # bounded; eval_s has none
     assert "unlisted" not in summary
+
+
+def _pairs(values):
+    """One workload's pairs from {metric: (parent values, change values)}."""
+    def run(side, i):
+        return {"result": {"metrics": {name: {"value": v[side][i]} for name, v in values.items()}}}
+
+    n = len(next(iter(values.values()))[0])
+    return [{"workload": "w", "parent": run(0, i), "change": run(1, i)} for i in range(n)]
+
+
+def test_verdicts_of_bounded_metrics():
+    values = {
+        "ok": ([2.0, 2.0, 2.0], [2.1, 2.1, 2.1]),
+        "worse": ([2.0, 2.0, 2.0], [3.0, 3.0, 3.0]),
+        "noisy": ([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]),
+        "noisy_but_always_better": ([1.0, 2.0, 3.0], [0.5, 1.5, 2.5]),
+        "ratio": ([1.0, 1.0, 1.0], [0.9, 0.9, 0.9]),
+        "unbounded": ([2.0, 2.0, 2.0], [9.0, 9.0, 9.0]),
+    }
+    better = dict.fromkeys(values, "lower") | {"ratio": "higher"}
+    bounds = dict.fromkeys(values, 0.25) | {"ratio": 0.01}
+    del bounds["unbounded"]
+    summary = bench_pairs.summarize(_pairs(values), better, bounds)["w"]
+    assert {name: e.get("verdict") for name, e in summary.items()} == {
+        "ok": "ok", "worse": "worse", "noisy": "unresolved",
+        "noisy_but_always_better": "ok", "ratio": "worse", "unbounded": None}
+    assert summary["ok"]["worse_by"] == pytest.approx(0.05)
+    assert summary["ok"]["parent_spread"] == 0.0
+    assert summary["worse"]["worse_by"] == 0.5
+    assert summary["noisy"]["worse_by"] == 0.0 and summary["noisy"]["parent_spread"] == 0.5
+    assert summary["noisy_but_always_better"]["worse_by"] == -0.25
+    assert summary["ratio"]["worse_by"] == pytest.approx(0.1)  # lower is worse here
+    assert "worse_by" not in summary["unbounded"]

@@ -9,7 +9,6 @@ from seqcl.loss import (
     gaussian_weights,
     scl_loss,
     scl_one_direction,
-    timestamp_correspondence,
 )
 
 # frozen with a 40-digit mpmath evaluation of the normalized Gaussian row
@@ -153,40 +152,34 @@ def test_config_validation():
         SCLConfig(tau=float("nan"))
 
 
-def test_timestamp_correspondence():
-    assert timestamp_correspondence([1, 3, 5], [3, 4, 5]) == [(1, 0), (2, 2)]
-    assert timestamp_correspondence([1, 2], [3, 4]) == []
-
-
 def test_baseline_closed_form():
     # identical orthonormal views at tau=0.1: positives score e^10 against T-1 at e^0
     for T in (4, 7):
-        z = np.eye(T)
-        pairs = [(i, i) for i in range(T)]
-        loss, _ = baseline_contrastive_loss(z, z, pairs, 0.1)
+        z, s = np.eye(T), np.arange(T)
+        loss, _ = baseline_contrastive_loss(z, z, s, s, SCLConfig(tau=0.1))
         expected = -np.log(np.exp(10.0) / (np.exp(10.0) + (T - 1)))
         assert abs(loss - 2 * expected) < 1e-12  # both directions
 
 
-def test_baseline_nonnegative_and_empty_rejected():
+def test_baseline_nonnegative_and_none_without_shared_timestamps():
     rng = np.random.default_rng(5)
     z1, z2 = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-    loss, _ = baseline_contrastive_loss(z1, z2, [(0, 0), (2, 3)], 0.5)
+    cfg = SCLConfig(tau=0.5)
+    # frames 0 and 2 of view 1 match frames 0 and 3 of view 2
+    loss, _ = baseline_contrastive_loss(z1, z2, [0, 1, 4, 5, 6], [0, 2, 3, 4, 7], cfg)
     assert loss >= 0
-    with pytest.raises(NumericError):
-        baseline_contrastive_loss(z1, z2, [], 0.5)
-    for pairs in ([(0, 0), (0, 3)], [(0, 3), (2, 3)]):
-        with pytest.raises(ConfigError, match="one-to-one"):
-            baseline_contrastive_loss(z1, z2, pairs, 0.5)
+    assert baseline_contrastive_loss(z1, z2, np.arange(5), np.arange(5) + 5, cfg) is None
 
 
 def test_baseline_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     z1, z2 = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
-    pairs = [(0, 1), (2, 2), (4, 5)]
-    _, (g1, g2) = baseline_contrastive_loss(z1, z2, pairs, 0.3)
-    f1 = _fd_embedding_grads(lambda z: baseline_contrastive_loss(z, z2, pairs, 0.3)[0], z1)
-    f2 = _fd_embedding_grads(lambda z: baseline_contrastive_loss(z1, z, pairs, 0.3)[0], z2)
+    # frames (0, 1), (2, 2) and (4, 5) share a timestamp
+    s1, s2 = [10, 11, 12, 13, 14, 15], [1, 10, 12, 16, 17, 14]
+    cfg = SCLConfig(tau=0.3)
+    _, (g1, g2) = baseline_contrastive_loss(z1, z2, s1, s2, cfg)
+    f1 = _fd_embedding_grads(lambda z: baseline_contrastive_loss(z, z2, s1, s2, cfg)[0], z1)
+    f2 = _fd_embedding_grads(lambda z: baseline_contrastive_loss(z1, z, s1, s2, cfg)[0], z2)
     for a, f in ((g1, f1), (g2, f2)):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
         assert np.max(np.abs(a - f) / denom) < 1e-5
@@ -200,6 +193,5 @@ def test_baseline_is_small_sigma_limit_of_scl():
     z1, z2 = rng.standard_normal((T, d)), rng.standard_normal((T, d))
     s = np.arange(T, dtype=float)
     scl, _ = scl_loss(z1, z2, s, s, SCLConfig(sigma2=1e-6, tau=0.1))
-    pairs = [(i, i) for i in range(T)]
-    base, _ = baseline_contrastive_loss(z1, z2, pairs, 0.1)
+    base, _ = baseline_contrastive_loss(z1, z2, s, s, SCLConfig(tau=0.1))
     assert abs(scl - base) < 1e-6

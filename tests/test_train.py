@@ -264,12 +264,34 @@ def test_baseline_loss_training_runs():
     assert len(curve) == 1 and np.isfinite(curve[0][1])
 
 
+@pytest.mark.parametrize("loss_kind, steps", [("frame", 0), ("scl", 2)])
+def test_pairs_without_shared_timestamps(monkeypatch, loss_kind, steps):
+    # view 2 sampled past view 1's last frame: the per-frame baseline has no
+    # positive, so it skips every pair, takes no step and reports nan; SCL's
+    # Gaussian targets still weigh every frame, so each batch takes a step
+    def disjoint_views(rec, cfg, rng):
+        x, ts = build_view_pair(rec, cfg, rng)
+        ts[1] += ts[0, -1] + 1
+        return x, ts
+
+    monkeypatch.setattr("seqcl.train.build_view_pair", disjoint_views)
+    split, aug, ecfg, scl, optim = _tiny_setup(loss_kind=loss_kind)
+    state = TrainState.fresh(enc.init_params(ecfg, 0))
+    before = {k: v.copy() for k, v in state.params.tensors.items()}
+    loss = train_epoch(state, split, aug, ecfg, scl, optim,
+                       np.random.default_rng(0), total_steps=10)
+    assert state.step == steps and np.isnan(loss) == (steps == 0)
+    unchanged = [np.array_equal(before[k], t) for k, t in state.params.tensors.items()]
+    assert all(unchanged) if steps == 0 else not any(unchanged)
+
+
 def test_paper_shape_training_pair_memory_bounded():
     # One float32 paper-encoder step on a real T=240 view pair, as train_epoch
     # makes it: gradient dict, jittered views, forward, SCL loss, backward.
-    # The views are float32 and freed once stacked, and the forward caches
-    # ReLU inputs, not outputs: 48.4 MiB, against 70.9 MiB with float64 views
-    # and every activation cached (2 vCPU, numpy 2.4).
+    # build_view_pair writes both jittered views once into one float32
+    # (2, T, D) array, which the forward takes as it is, and the forward
+    # caches ReLU inputs, not outputs: 48.4 MiB, against 70.9 MiB with
+    # float64 views and every activation cached (2 vCPU, numpy 2.4).
     cfg = enc.EncoderConfig(input_dim=2048, model_dim=256, num_layers=3, num_heads=8,
                             ffn_dim=1024, out_dim=128, proj_hidden=256, proj_out=128)
     init = enc.init_params(cfg, 41)

@@ -17,13 +17,17 @@ clone, so a run of an unmerged commit can be matched to the tree that was
 merged. The file is rewritten after every pair.
 It ends with a per-metric summary of the measured pairs: each side's median
 and quartiles, the parent's interquartile range, and in how many pairs the
-change was better, by the direction BENCHMARK.json gives.
+change was better, by the direction BENCHMARK.json gives. A metric with a
+`bound` there also gets a verdict: `worse` when the change's median is worse
+than the parent's by more than the bound, `unresolved` when the parent's own
+spread exceeds the bound and the change did not win every pair, else `ok`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -74,11 +78,36 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def _relative(delta: float, base: float) -> float:
+    """delta / |base|; a nonzero delta over a zero base is ±inf."""
+    if base:
+        return delta / abs(base)
+    return math.copysign(math.inf, delta) if delta else 0.0
+
+
+def verdict(entry: dict, bound: float) -> dict:
+    """`worse_by`, the relative difference of the medians with worse positive;
+    `parent_spread`, the parent's IQR over its median; and the `verdict`:
+    worse, unresolved or ok."""
+    parent, change = entry["parent_median"], entry["change_median"]
+    worse_by = _relative(change - parent if entry["better"] == "lower" else parent - change,
+                         parent)
+    spread = _relative(entry["parent_iqr"], entry["parent_median"])
+    if worse_by > bound:
+        result = "worse"
+    elif spread > bound and entry["change_better_pairs"] < entry["pairs"]:
+        result = "unresolved"
+    else:
+        result = "ok"
+    return {"worse_by": worse_by, "parent_spread": spread, "verdict": result}
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and metric: the median and quartiles of both sides over
     the pairs, the parent's interquartile range, and the number of pairs in
     which the change was strictly better. A gain is claimed when the change is
-    better in nine of ten pairs and the medians differ by more than that range."""
+    better in nine of ten pairs and the medians differ by more than that range.
+    A metric named in `bounds` also gets its `verdict` fields."""
     out: dict = {}
     for pair in pairs:
         for name in pair["parent"]["result"]["metrics"]:
@@ -89,7 +118,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             for side in ("parent", "change"):
                 entry[side].append(pair[side]["result"]["metrics"][name]["value"])
     for metrics in out.values():
-        for entry in metrics.values():
+        for name, entry in metrics.items():
             sign = -1 if entry["better"] == "lower" else 1
             entry["change_better_pairs"] = sum(
                 sign * (c - p) > 0 for p, c in zip(entry["parent"], entry["change"]))
@@ -99,6 +128,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                 entry[f"{side}_median"] = statistics.median(values)
                 entry[f"{side}_q1"], entry[f"{side}_q3"] = quartiles(values)
             entry["parent_iqr"] = entry["parent_q3"] - entry["parent_q1"]
+            if name in bounds:
+                entry.update(verdict(entry, bounds[name]))
     return out
 
 
@@ -114,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     doc = {"command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
            "workloads": args.workload, "seeds": args.seeds, "seconds": args.seconds,
            "pairs": [], "summary": {}}
@@ -126,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps(pair[side]["result"]["metrics"]), flush=True)
             doc["pairs"].append(pair)
-            doc["summary"] = summarize(doc["pairs"], better)
+            doc["summary"] = summarize(doc["pairs"], better, bounds)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
