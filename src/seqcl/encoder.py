@@ -79,51 +79,46 @@ class EmbeddingSequence:
     Z: np.ndarray  # (N, T, proj_out) latent embeddings for the loss
 
 
-def _affine_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, int]]:
+def _shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every array an encoder holds, in `init_params`' draw
+    order: each affine layer's W and b, each norm's gamma and beta, then the
+    batch norms' running statistics as "buffer.*". `load_checkpoint` requires
+    exactly these records; extras are outside the table."""
     m, f = cfg.model_dim, cfg.ffn_dim
-    shapes = {
-        "proj.fc1": (cfg.input_dim, m),
-        "proj.fc2": (m, m),
-        "out": (m, cfg.out_dim),
-        "head.fc1": (cfg.out_dim, cfg.proj_hidden),
-        "head.fc2": (cfg.proj_hidden, cfg.proj_out),
-    }
+    affine = {"proj.fc1": (cfg.input_dim, m), "proj.fc2": (m, m), "out": (m, cfg.out_dim),
+              "head.fc1": (cfg.out_dim, cfg.proj_hidden),
+              "head.fc2": (cfg.proj_hidden, cfg.proj_out)}
+    norms = ["proj.bn1", "proj.bn2"]
     for i in range(cfg.num_layers):
-        shapes[f"layer{i}.attn.q"] = (m, m)
-        shapes[f"layer{i}.attn.k"] = (m, m)
-        shapes[f"layer{i}.attn.v"] = (m, m)
-        shapes[f"layer{i}.attn.o"] = (m, m)
-        shapes[f"layer{i}.ffn.fc1"] = (m, f)
-        shapes[f"layer{i}.ffn.fc2"] = (f, m)
+        affine.update({f"layer{i}.attn.{n}": (m, m) for n in "qkvo"})
+        affine[f"layer{i}.ffn.fc1"], affine[f"layer{i}.ffn.fc2"] = (m, f), (f, m)
+        norms += [f"layer{i}.ln1", f"layer{i}.ln2"]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, (fan_in, fan_out) in affine.items():
+        shapes[f"{name}.W"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+    for name in norms:
+        shapes[f"{name}.gamma"] = shapes[f"{name}.beta"] = (m,)
+    for name in ("proj.bn1", "proj.bn2"):
+        shapes[f"buffer.{name}.mean"] = shapes[f"buffer.{name}.var"] = (m,)
     return shapes
 
 
-def _norm_names(cfg: EncoderConfig) -> list[str]:
-    names = ["proj.bn1", "proj.bn2"]
-    for i in range(cfg.num_layers):
-        names += [f"layer{i}.ln1", f"layer{i}.ln2"]
-    return names
-
-
 def init_params(cfg: EncoderConfig, seed: int) -> EncoderParams:
-    """Uniform +-sqrt(1/fan_in) affine init; unit-scale zero-shift norms."""
+    """Uniform +-sqrt(1/fan_in) affine init, W then b; unit-scale zero-shift
+    norms; zero-mean unit-variance running statistics."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, (fan_in, fan_out) in _affine_shapes(cfg).items():
-        bound = np.sqrt(1.0 / fan_in)
-        tensors[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        tensors[f"{name}.b"] = rng.uniform(-bound, bound, size=fan_out)
-    for name in _norm_names(cfg):
-        width = cfg.model_dim
-        tensors[f"{name}.gamma"] = np.ones(width)
-        tensors[f"{name}.beta"] = np.zeros(width)
-    buffers = {
-        "proj.bn1.mean": np.zeros(cfg.model_dim),
-        "proj.bn1.var": np.ones(cfg.model_dim),
-        "proj.bn2.mean": np.zeros(cfg.model_dim),
-        "proj.bn2.var": np.ones(cfg.model_dim),
-    }
-    return EncoderParams(tensors=tensors, buffers=buffers)
+    params = EncoderParams(tensors={}, buffers={})
+    for name, shape in _shapes(cfg).items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "W":
+            bound = np.sqrt(1.0 / shape[0])
+        if kind in ("W", "b"):
+            arr = rng.uniform(-bound, bound, size=shape)
+        else:
+            arr = np.ones(shape) if kind in ("gamma", "var") else np.zeros(shape)
+        group = params.buffers if name.startswith("buffer.") else params.tensors
+        group[name.removeprefix("buffer.")] = arr
+    return params
 
 
 _PE_TABLES: dict[int, np.ndarray] = {}  # model_dim -> table for the longest T asked
@@ -391,37 +386,22 @@ def save_checkpoint(
             blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            for name in sorted(params.tensors):
-                _write_tensor(f, name, params.tensors[name])
-            for name in sorted(params.buffers):
-                _write_tensor(f, f"buffer.{name}", params.buffers[name])
-            for name in sorted(extra or {}):
-                _write_tensor(f, f"extra.{name}", extra[name])
+            for prefix, group in (("", params.tensors), ("buffer.", params.buffers),
+                                  ("extra.", extra or {})):
+                for name in sorted(group):
+                    _write_tensor(f, prefix + name, group[name])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _checkpoint_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Record name and shape of every tensor and buffer an encoder checkpoint
-    holds; extras are outside the schema."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name, (fan_in, fan_out) in _affine_shapes(cfg).items():
-        shapes[f"{name}.W"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
-    for name in _norm_names(cfg):
-        shapes[f"{name}.gamma"] = shapes[f"{name}.beta"] = (cfg.model_dim,)
-    for name in ("proj.bn1", "proj.bn2"):
-        shapes[f"buffer.{name}.mean"] = shapes[f"buffer.{name}.var"] = (cfg.model_dim,)
-    return shapes
-
-
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[EncoderConfig, EncoderParams, dict[str, np.ndarray]]:
     """Read a checkpoint written by `save_checkpoint`. Every read is bounds
-    checked, and the tensors and buffers must match the schema of the stored
-    config exactly; any violation, or a non-finite value, is a FormatError.
+    checked, and the tensors and buffers must be exactly those `_shapes` gives
+    for the stored config; any violation, or a non-finite value, is a FormatError.
     Each payload is read from the file straight into its own float32 array, so
     the file's bytes are held once."""
     path = Path(path)
@@ -456,16 +436,11 @@ def load_checkpoint(
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         cfg_blob = take(u32("config length"), "config blob")
         try:
-            fields = json.loads(cfg_blob.decode("utf-8"))
-            # checkpoints from before dropout was removed carry "dropout": 0.0
-            dropout = fields.pop("dropout", 0.0)
-            cfg = EncoderConfig(**fields)
-        except (ValueError, TypeError, AttributeError, RecursionError, ConfigError) as exc:
+            cfg = EncoderConfig(**json.loads(cfg_blob.decode("utf-8")))
+        except (ValueError, TypeError, RecursionError, ConfigError) as exc:
             raise FormatError(f"{path}: invalid config blob: {exc}") from exc
-        if dropout != 0.0:
-            raise FormatError(f"{path}: dropout={dropout!r} is not supported")
 
-        expected = _checkpoint_shapes(cfg)
+        expected = _shapes(cfg)
         records: dict[str, np.ndarray] = {}
         while off < size:
             raw_name = take(u32("tensor name length"), "tensor name")

@@ -93,13 +93,6 @@ def _both_directions(Z1, Z2, W12, W21, tau):
     return l1 + l2, (g1a + g1b, g2a + g2b)
 
 
-def scl_one_direction(
-    Z1: np.ndarray, Z2: np.ndarray, s1: np.ndarray, s2: np.ndarray, cfg: SCLConfig
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """One-direction loss (view 1 frames against view 2) and its gradients."""
-    return _contrastive(Z1, Z2, gaussian_weights(s1, s2, cfg.sigma2), cfg.tau)
-
-
 def scl_loss(
     Z1: np.ndarray, Z2: np.ndarray, s1: np.ndarray, s2: np.ndarray, cfg: SCLConfig
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:

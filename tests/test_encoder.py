@@ -1,6 +1,9 @@
 
+import json
+import math
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,12 +45,19 @@ def test_init_deterministic_and_bounded():
     b = enc.init_params(cfg, seed=42)
     for name in a.tensors:
         assert np.array_equal(a.tensors[name], b.tensors[name])
-    for name, (fan_in, _) in enc._affine_shapes(cfg).items():
-        bound = np.sqrt(1.0 / fan_in)
-        assert np.abs(a.tensors[f"{name}.W"]).max() <= bound
-        assert np.abs(a.tensors[f"{name}.b"]).max() <= bound
+    shapes = enc._shapes(cfg)
+    arrays = {**a.tensors, **{f"buffer.{n}": b for n, b in a.buffers.items()}}
+    assert list(arrays) == list(shapes)
+    assert {n: x.shape for n, x in arrays.items()} == shapes
+    for name, shape in shapes.items():
+        if name.endswith(".W"):
+            bound = np.sqrt(1.0 / shape[0])
+            assert np.abs(arrays[name]).max() <= bound
+            assert np.abs(arrays[name.replace(".W", ".b")]).max() <= bound
     assert np.array_equal(a.tensors["proj.bn1.gamma"], np.ones(cfg.model_dim))
     assert not a.tensors["proj.bn1.beta"].any()
+    assert not a.buffers["proj.bn2.mean"].any()
+    assert np.array_equal(a.buffers["proj.bn2.var"], np.ones(cfg.model_dim))
 
 
 def test_different_seeds_differ():
@@ -55,8 +65,8 @@ def test_different_seeds_differ():
     a = enc.init_params(cfg, seed=0)
     b = enc.init_params(cfg, seed=1)
     diff = total = 0
-    for name, (fan_in, _) in enc._affine_shapes(cfg).items():
-        w1, w2 = a.tensors[f"{name}.W"], b.tensors[f"{name}.W"]
+    for name in (n for n in a.tensors if n.endswith(".W")):
+        w1, w2 = a.tensors[name], b.tensors[name]
         diff += (w1 != w2).sum()
         total += w1.size
     assert diff / total > 0.99
@@ -516,36 +526,50 @@ def test_checkpoint_schema_enforced(tmp_path, tamper, message):
         enc.load_checkpoint(p)
 
 
-def test_checkpoint_deeply_nested_config_blob_rejected(tmp_path):
-    blob = ("[" * 100_000 + "]" * 100_000).encode()
+@pytest.mark.parametrize("blob", [
+    b"[" * 100_000 + b"]" * 100_000, b"[]", b'"x"', b"3", b"null",
+    json.dumps({"input_dim": 8, "width": 4}).encode(),
+], ids=["nested", "list", "string", "number", "null", "unknown-key"])
+def test_checkpoint_deeply_nested_config_blob_rejected(tmp_path, blob):
+    # a blob that is not an EncoderConfig's fields as a JSON object
     p = tmp_path / "model.ckpt"
     p.write_bytes(enc.CKPT_MAGIC + struct.pack("<II", enc.CKPT_VERSION, len(blob)) + blob)
     with pytest.raises(FormatError, match="invalid config blob"):
         enc.load_checkpoint(p)
 
 
-def test_checkpoint_with_legacy_zero_dropout_loads(tmp_path):
-    cfg = tiny_encoder_cfg()
-    params = enc.init_params(cfg, 21)
-    p = tmp_path / "model.ckpt"
-    enc.save_checkpoint(p, cfg, params)
-    _, expected, _ = enc.load_checkpoint(p)
-    rewrite_config_blob(p, dropout=0.0)
-    cfg2, params2, _ = enc.load_checkpoint(p)
-    assert cfg2 == cfg
-    for name in expected.tensors:
-        assert np.array_equal(params2.tensors[name], expected.tensors[name])
-    for name in expected.buffers:
-        assert np.array_equal(params2.buffers[name], expected.buffers[name])
-
-
-def test_checkpoint_with_nonzero_dropout_rejected(tmp_path):
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_checkpoint_with_a_dropout_field_rejected(tmp_path, dropout):
+    # the encoder has no dropout, so a stored config with one is not its config
     cfg = tiny_encoder_cfg()
     p = tmp_path / "model.ckpt"
     enc.save_checkpoint(p, cfg, enc.init_params(cfg, 0))
-    rewrite_config_blob(p, dropout=0.5)
-    with pytest.raises(FormatError):
+    rewrite_config_blob(p, dropout=dropout)
+    with pytest.raises(FormatError, match="invalid config blob"):
         enc.load_checkpoint(p)
+
+
+def test_checkpoint_records_in_file_order(tmp_path):
+    # header, then the sorted tensors, the sorted buffers, the sorted extras
+    cfg = tiny_encoder_cfg()
+    params = enc.init_params(cfg, 0)
+    p = tmp_path / "model.ckpt"
+    enc.save_checkpoint(p, cfg, params, extra={"adam.step": np.array([3.0])})
+    blob = p.read_bytes()
+    config = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
+    assert blob[:12 + len(config)] == (
+        enc.CKPT_MAGIC + struct.pack("<II", enc.CKPT_VERSION, len(config)) + config)
+    off, names = 12 + len(config), []
+    while off < len(blob):
+        (length,) = struct.unpack_from("<I", blob, off)
+        names.append(blob[off + 4 : off + 4 + length].decode("utf-8"))
+        off += 4 + length
+        (rank,) = struct.unpack_from("<I", blob, off)
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 4)
+        off += 4 + 4 * rank + 4 * math.prod(dims)
+    assert off == len(blob)
+    assert names == (sorted(params.tensors) + [f"buffer.{n}" for n in sorted(params.buffers)]
+                     + ["extra.adam.step"])
 
 
 def test_checkpoint_header_beyond_the_file_rejected_before_allocating(tmp_path):
