@@ -15,9 +15,10 @@ divides each block's context, not its weights, by the weight sums
 attention q, k, v, the context and each query's log-sum-exp of its scores,
 but not the weights, which `backward` recomputes block by block as
 exp(scores - lse). Of each ReLU it keeps the input, not the output, and of
-each layer's ln2 the normalized xhat, not the scaled output; `backward`
-recomputes those where a weight gradient needs them. An eval forward keeps
-nothing.
+each norm the normalized xhat, not the scaled output, which is also
+attention's input; `backward` recomputes those, bit for bit, where a
+gradient needs them, and drops each temporary once it is used. An eval
+forward keeps nothing.
 
 The encoder computes in the dtype of its parameters: `forward` casts x, and
 `backward` casts the upstream gradient, to it, and every array it allocates
@@ -32,7 +33,9 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,28 +82,29 @@ class EmbeddingSequence:
     Z: np.ndarray  # (N, T, proj_out) latent embeddings for the loss
 
 
-def _shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+def _shapes(cfg: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Name and shape of every array an encoder holds, in `init_params`' draw
     order: each affine layer's W and b, each norm's gamma and beta, then the
     batch norms' running statistics as "buffer.*". `load_checkpoint` requires
-    exactly these records; extras are outside the table."""
-    m, f = cfg.model_dim, cfg.ffn_dim
-    affine = {"proj.fc1": (cfg.input_dim, m), "proj.fc2": (m, m), "out": (m, cfg.out_dim),
-              "head.fc1": (cfg.out_dim, cfg.proj_hidden),
-              "head.fc2": (cfg.proj_hidden, cfg.proj_out)}
-    norms = ["proj.bn1", "proj.bn2"]
-    for i in range(cfg.num_layers):
-        affine.update({f"layer{i}.attn.{n}": (m, m) for n in "qkvo"})
-        affine[f"layer{i}.ffn.fc1"], affine[f"layer{i}.ffn.fc2"] = (m, f), (f, m)
-        norms += [f"layer{i}.ln1", f"layer{i}.ln2"]
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name, (fan_in, fan_out) in affine.items():
-        shapes[f"{name}.W"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+    exactly these records; extras are outside the table. Lazy, so a reader
+    can stop before a table that the stored config makes huge is built."""
+    m, f, layers = cfg.model_dim, cfg.ffn_dim, range(cfg.num_layers)
+    ends = {"proj.fc1": (cfg.input_dim, m), "proj.fc2": (m, m), "out": (m, cfg.out_dim),
+            "head.fc1": (cfg.out_dim, cfg.proj_hidden),
+            "head.fc2": (cfg.proj_hidden, cfg.proj_out)}
+    layer = {**{f"attn.{n}": (m, m) for n in "qkvo"}, "ffn.fc1": (m, f), "ffn.fc2": (f, m)}
+    affine = chain(ends.items(),
+                   ((f"layer{i}.{n}", shape) for i in layers for n, shape in layer.items()))
+    for name, (fan_in, fan_out) in affine:
+        yield f"{name}.W", (fan_in, fan_out)
+        yield f"{name}.b", (fan_out,)
+    norms = chain(("proj.bn1", "proj.bn2"), (f"layer{i}.ln{j}" for i in layers for j in (1, 2)))
     for name in norms:
-        shapes[f"{name}.gamma"] = shapes[f"{name}.beta"] = (m,)
+        yield f"{name}.gamma", (m,)
+        yield f"{name}.beta", (m,)
     for name in ("proj.bn1", "proj.bn2"):
-        shapes[f"buffer.{name}.mean"] = shapes[f"buffer.{name}.var"] = (m,)
-    return shapes
+        yield f"buffer.{name}.mean", (m,)
+        yield f"buffer.{name}.var", (m,)
 
 
 def init_params(cfg: EncoderConfig, seed: int) -> EncoderParams:
@@ -108,7 +112,7 @@ def init_params(cfg: EncoderConfig, seed: int) -> EncoderParams:
     norms; zero-mean unit-variance running statistics."""
     rng = np.random.default_rng(seed)
     params = EncoderParams(tensors={}, buffers={})
-    for name, shape in _shapes(cfg).items():
+    for name, shape in _shapes(cfg):
         kind = name.rsplit(".", 1)[1]
         if kind == "W":
             bound = np.sqrt(1.0 / shape[0])
@@ -242,19 +246,32 @@ def _attn_forward(x, p, prefix, num_heads):
         col_sum = e.sum(axis=-2, keepdims=True)
         np.divide(e.swapaxes(-1, -2) @ vh, col_sum.swapaxes(-1, -2), out=ctxh[:, :, rows])
         lse[:, :, rows] = (col_max + np.log(col_sum)).swapaxes(-1, -2)
-    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "ctx": ctx, "lse": lse}
+    cache = {"qh": qh, "kh": kh, "vh": vh, "ctx": ctx, "lse": lse}
     return _affine(ctx, p, f"{prefix}.o"), cache
 
 
-def _attn_backward(dout, cache, p, prefix, num_heads, grads):
-    x, qh, kh, vh = cache["x"], cache["qh"], cache["kh"], cache["vh"]
-    dctx = _affine_backward(dout, cache["ctx"], p, f"{prefix}.o", grads)
+def _attn_backward(dout, x, cache, p, prefix, num_heads, grads):
+    """Gradients of `_attn_forward(x, ...)`, whose x the cache does not hold;
+    returns the gradient wrt x. The row-block buffers are freed before the q,
+    k and v weight gradients, and the input gradients add in q, k, v order."""
+    dq, dk, dv = _attn_core_backward(dout, cache, p, prefix, num_heads, grads)
+    dx = _affine_backward(dq, x, p, f"{prefix}.q", grads)
+    dx += _affine_backward(dk, x, p, f"{prefix}.k", grads)
+    dx += _affine_backward(dv, x, p, f"{prefix}.v", grads)
+    return dx
+
+
+def _attn_core_backward(dout, cache, p, prefix, num_heads, grads):
+    """The o affine's and the row blocks' backward; returns the gradients wrt
+    the q, k and v affine outputs."""
+    qh, kh, vh, ctx = cache["qh"], cache["kh"], cache["vh"], cache["ctx"]
+    dq, dk, dv = np.empty_like(ctx), np.zeros_like(ctx), np.zeros_like(ctx)
+    dctx = _affine_backward(dout, ctx, p, f"{prefix}.o", grads)
     # each query's rowsum(dattn ∘ attn) is rowsum(dctx ∘ ctx): once, not per block
-    D = _heads(dctx * cache["ctx"], num_heads).sum(axis=-1)[:, :, None]
+    D = _heads(dctx * ctx, num_heads).sum(axis=-1)[:, :, None]
     lse, dctx = cache["lse"].swapaxes(-1, -2), _heads(dctx, num_heads)
-    dq, dk, dv = np.empty_like(x), np.zeros_like(x), np.zeros_like(x)
     dqh, dkh, dvh = (_heads(d, num_heads) for d in (dq, dk, dv))
-    dbuf = np.empty(qh.shape[:-1] + (min(qh.shape[2], ATTN_ROWS),), dtype=x.dtype)
+    dbuf = np.empty(qh.shape[:-1] + (min(qh.shape[2], ATTN_ROWS),), dtype=dq.dtype)
     for rows, attn in _attn_blocks(qh, kh):  # (N, heads, T, rows): scores, then weights
         attn -= lse[..., rows]
         np.exp(attn, out=attn)
@@ -264,10 +281,8 @@ def _attn_backward(dout, cache, p, prefix, num_heads, grads):
         dscores *= attn
         np.matmul(dscores.swapaxes(-1, -2), kh, out=dqh[:, :, rows])
         dkh += dscores @ qh[:, :, rows]
-    dq *= 1.0 / math.sqrt(x.shape[-1] // num_heads)
-    return sum(
-        _affine_backward(d, x, p, f"{prefix}.{n}", grads) for n, d in zip("qkv", (dq, dk, dv))
-    )
+    dq *= 1.0 / math.sqrt(ctx.shape[-1] // num_heads)
+    return dq, dk, dv
 
 
 def forward(
@@ -292,7 +307,6 @@ def forward(
     bn1, cache["bn1"] = _batch_norm(_affine(x, p, "proj.fc1"), params, "proj.bn1", train)
     bn2, cache["bn2"] = _batch_norm(
         _affine(np.maximum(bn1, 0.0), p, "proj.fc2"), params, "proj.bn2", train)
-    cache["bn1_out"], cache["bn2_out"] = bn1, bn2
 
     h = np.maximum(bn2, 0.0)
     h += positional_encoding(T, cfg.model_dim)
@@ -326,7 +340,10 @@ def backward(
 ) -> None:
     """Add the exact gradients of the loss wrt every learnable tensor into
     `grads`, given the upstream gradient on the (N, T, proj_out) latent
-    embeddings Z of the matching forward call, view by view in batch order."""
+    embeddings Z of the matching forward call, view by view in batch order.
+    Beyond the cache it holds one layer's temporaries at a time: the FFN's
+    die before the attention backward starts, and attention's row-block
+    buffers before its q, k and v weight gradients."""
     if "trunk" not in cache:
         raise SeqclError("backward needs the cache returned by a train=True forward")
     p = params.tensors
@@ -338,20 +355,33 @@ def backward(
     dh = _affine_backward(dH, cache["trunk"], p, "out", grads)
 
     for i in reversed(range(cfg.num_layers)):
-        lc = cache["layers"][i]
-        dfa = _affine_backward(dh, np.maximum(lc["f1"], 0.0), p, f"layer{i}.ffn.fc2", grads)
-        df1 = dfa * (lc["f1"] > 0)
-        norm2 = _scale_shift(lc["ln2"]["xhat"], p, f"layer{i}.ln2")
-        dnorm2 = _affine_backward(df1, norm2, p, f"layer{i}.ffn.fc1", grads)
-        dh = dh + _norm_backward(dnorm2, lc["ln2"], p, f"layer{i}.ln2", grads)
-        dnorm1 = _attn_backward(dh, lc["attn"], p, f"layer{i}.attn", cfg.num_heads, grads)
-        dh = dh + _norm_backward(dnorm1, lc["ln1"], p, f"layer{i}.ln1", grads)
+        lc, name = cache["layers"][i], f"layer{i}"
+        dh += _ffn_backward(dh, lc, p, name, grads)
+        norm1 = _scale_shift(lc["ln1"]["xhat"], p, f"{name}.ln1")
+        dnorm1 = _attn_backward(dh, norm1, lc["attn"], p, f"{name}.attn", cfg.num_heads, grads)
+        del norm1
+        dh += _norm_backward(dnorm1, lc["ln1"], p, f"{name}.ln1", grads)
+        del dnorm1
 
     # positional encoding is additive and constant
-    dz2 = _norm_backward(dh * (cache["bn2_out"] > 0), cache["bn2"], p, "proj.bn2", grads)
-    da1 = _affine_backward(dz2, np.maximum(cache["bn1_out"], 0.0), p, "proj.fc2", grads)
-    dz1 = _norm_backward(da1 * (cache["bn1_out"] > 0), cache["bn1"], p, "proj.bn1", grads)
+    bn2 = _scale_shift(cache["bn2"]["xhat"], p, "proj.bn2")
+    dz2 = _norm_backward(dh * (bn2 > 0), cache["bn2"], p, "proj.bn2", grads)
+    bn1 = _scale_shift(cache["bn1"]["xhat"], p, "proj.bn1")
+    da1 = _affine_backward(dz2, np.maximum(bn1, 0.0), p, "proj.fc2", grads)
+    dz1 = _norm_backward(da1 * (bn1 > 0), cache["bn1"], p, "proj.bn1", grads)
     _affine_backward(dz1, cache["x"], p, "proj.fc1", grads, input_grad=False)
+
+
+def _ffn_backward(dh, lc, p, name, grads):
+    """The gradient wrt layer `name`'s ln2 input through its FFN, whose
+    activations die when it returns."""
+    f1 = lc["f1"]
+    df1 = _affine_backward(dh, np.maximum(f1, 0.0), p, f"{name}.ffn.fc2", grads)
+    df1 *= f1 > 0
+    norm2 = _scale_shift(lc["ln2"]["xhat"], p, f"{name}.ln2")
+    dnorm2 = _affine_backward(df1, norm2, p, f"{name}.ffn.fc1", grads)
+    del df1, norm2
+    return _norm_backward(dnorm2, lc["ln2"], p, f"{name}.ln2", grads)
 
 
 # --- checkpoint container ---
@@ -440,7 +470,16 @@ def load_checkpoint(
         except (ValueError, TypeError, RecursionError, ConfigError) as exc:
             raise FormatError(f"{path}: invalid config blob: {exc}") from exc
 
-        expected = _shapes(cfg)
+        # each record takes 12 bytes and its name at the least (length, rank,
+        # one dim): a table the file cannot hold is refused before it is built
+        expected: dict[str, tuple[int, ...]] = {}
+        need = 0
+        for name, shape in _shapes(cfg):
+            need += 12 + len(name.encode("utf-8"))
+            if need > size - off:
+                raise FormatError(f"{path}: truncated: the config's tensors need more than "
+                                  f"the {size - off} bytes left")
+            expected[name] = shape
         records: dict[str, np.ndarray] = {}
         while off < size:
             raw_name = take(u32("tensor name length"), "tensor name")

@@ -106,15 +106,20 @@ def train_epoch(
     rng: np.random.Generator,
     total_steps: int,
 ) -> float:
-    """One pass over shuffled training videos in batches; returns mean batch loss."""
+    """One pass over shuffled training videos in batches; returns mean batch loss.
+
+    One gradient set serves the whole call: each step zeroes it in place and
+    `encoder.backward` adds the batch's pairs into it, one pair at a time."""
     if not dataset.train:
         raise ConfigError("empty training set")
     order = rng.permutation(len(dataset.train))
     bs = optim_cfg.videos_per_batch
     batch_losses = []
+    grads = {k: np.empty_like(t) for k, t in state.params.tensors.items()}
     for lo in range(0, len(order), bs):
         batch = [dataset.train[i] for i in order[lo : lo + bs]]
-        grads = {k: np.zeros_like(t) for k, t in state.params.tensors.items()}
+        for g in grads.values():
+            g.fill(0)
         losses = []
         for rec in batch:
             loss = _pair_loss_and_grads(
@@ -180,10 +185,14 @@ def fit(
     """Full training run. Returns the final state and the (epoch, loss, lr) curve.
 
     Parameters, buffers and Adam moments are float32, so the encoder computes
-    in float32 and a checkpoint holds the state exactly. With resume=True and
-    an existing checkpoint, picks up from its recorded epoch (optimizer
-    moments included); a checkpoint whose encoder config differs from enc_cfg
-    is a ConfigError naming the fields that differ.
+    in float32 and a checkpoint holds the state exactly. The float64 draws of
+    `init_params` are dropped once cast, so the run holds the parameters, two
+    moments, one gradient set and one view pair's activations at a time. A
+    checkpoint is written every `checkpoint_every` epochs and after the last,
+    each state once. With resume=True and an existing checkpoint, picks up
+    from its recorded epoch (optimizer moments included); a checkpoint whose
+    encoder config differs from enc_cfg is a ConfigError naming the fields
+    that differ.
     """
     if resume and checkpoint_path and Path(checkpoint_path).exists():
         stored, state = load_train_checkpoint(checkpoint_path)
@@ -198,6 +207,7 @@ def fit(
             tensors={k: t.astype(np.float32) for k, t in init.tensors.items()},
             buffers={k: b.astype(np.float32) for k, b in init.buffers.items()},
         ))
+        del init  # float64, twice the size of the float32 state: not held for the run
     rng = np.random.default_rng([optim_cfg.seed, TRAIN_STREAM])
 
     batches = -(-len(dataset.train) // optim_cfg.videos_per_batch)
@@ -209,9 +219,9 @@ def fit(
             state, dataset, aug_cfg, enc_cfg, scl_cfg, optim_cfg, rng, total_steps
         )
         curve.append((epoch, loss, lr_now))
-        if checkpoint_path and optim_cfg.checkpoint_every > 0 and (
-            (epoch + 1) % optim_cfg.checkpoint_every == 0
-        ):
+        done, every = epoch + 1, optim_cfg.checkpoint_every
+        # the last epoch's state is left to the final save, so it is written once
+        if checkpoint_path and every > 0 and done % every == 0 and done < optim_cfg.epochs:
             save_train_checkpoint(checkpoint_path, enc_cfg, state)
     if checkpoint_path:
         save_train_checkpoint(checkpoint_path, enc_cfg, state)

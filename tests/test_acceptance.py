@@ -30,12 +30,14 @@ def report(n, desc):
 # ---------------------------------------------------------------- criterion 1
 
 
-def _relu_margin(cache):
+def _relu_margin(cache, params):
     """Smallest |preactivation| feeding a ReLU; a margin below the finite
     difference step's reach means the central difference crosses the kink and
-    stops being a valid derivative estimate."""
-    vals = [cache["bn1_out"], cache["bn2_out"], cache["g1"]]
-    vals += [lc["f1"] for lc in cache["layers"]]
+    stops being a valid derivative estimate. The batch norms' outputs are
+    rebuilt from their cached xhat, as `backward` does."""
+    vals = [enc._scale_shift(cache[bn]["xhat"], params.tensors, f"proj.{bn}")
+            for bn in ("bn1", "bn2")]
+    vals += [cache["g1"]] + [lc["f1"] for lc in cache["layers"]]
     return min(float(np.abs(v).min()) for v in vals)
 
 
@@ -62,7 +64,7 @@ def test_criterion_1_gradient_correctness():
 
         e1, c1 = enc.forward(params, cfg, x1[None], train=True)
         e2, c2 = enc.forward(params, cfg, x2[None], train=True)
-        if min(_relu_margin(c1), _relu_margin(c2)) < 1e-3:
+        if min(_relu_margin(c1, params), _relu_margin(c2, params)) < 1e-3:
             continue  # redraw: the h=1e-5 probe would cross a ReLU kink
         _, (g1, g2) = scl_loss(e1.Z[0], e2.Z[0], s1, s2, scl)
         analytic = {name: np.zeros_like(t) for name, t in params.tensors.items()}

@@ -53,7 +53,7 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert summary["eval_s"] == {"better": "lower", "change_better_pairs": 2, "pairs": 3,
                                  "parent_median": 2.0, "change_median": 1.5,
                                  "parent_q1": 2.0, "parent_q3": 2.0, "parent_iqr": 0.0,
-                                 "change_q1": 1.25, "change_q3": 2.25}
+                                 "change_q1": 1.25, "change_q3": 2.25, "gain": False}
     assert summary["ops_ok_ratio"]["change_better_pairs"] == 0
     assert summary["ops_ok_ratio"]["verdict"] == "ok"  # bounded; eval_s has none
     assert "unlisted" not in summary
@@ -91,3 +91,22 @@ def test_verdicts_of_bounded_metrics():
     assert summary["noisy_but_always_better"]["worse_by"] == -0.25
     assert summary["ratio"]["worse_by"] == pytest.approx(0.1)  # lower is worse here
     assert "worse_by" not in summary["unbounded"]
+
+
+def test_gain_needs_nine_of_ten_pairs_and_a_median_beyond_the_parent_iqr():
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9
+    values = {
+        # better in nine pairs, tied in one; medians 10.9 -> 9.4
+        "won": (parent, [p - 1.5 for p in parent[:9]] + [parent[9]]),
+        # the median moves as far, but the change is better in eight pairs only
+        "noisy": (parent, [p - 1.5 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]),
+        # better in every pair, by less than the parent's IQR
+        "too_small": (parent, [p - 0.5 for p in parent]),
+        "won_higher": (parent, [p + 2.0 for p in parent]),
+    }
+    better = dict.fromkeys(values, "lower") | {"won_higher": "higher"}
+    summary = bench_pairs.summarize(_pairs(values), better, {})["w"]
+    assert summary["won"]["parent_iqr"] == pytest.approx(0.9)
+    assert [summary[n]["change_better_pairs"] for n in values] == [9, 8, 10, 10]
+    assert {n: e["gain"] for n, e in summary.items()} == {
+        "won": True, "noisy": False, "too_small": False, "won_higher": True}

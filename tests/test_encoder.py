@@ -45,7 +45,7 @@ def test_init_deterministic_and_bounded():
     b = enc.init_params(cfg, seed=42)
     for name in a.tensors:
         assert np.array_equal(a.tensors[name], b.tensors[name])
-    shapes = enc._shapes(cfg)
+    shapes = dict(enc._shapes(cfg))
     arrays = {**a.tensors, **{f"buffer.{n}": b for n, b in a.buffers.items()}}
     assert list(arrays) == list(shapes)
     assert {n: x.shape for n, x in arrays.items()} == shapes
@@ -584,6 +584,24 @@ def test_checkpoint_header_beyond_the_file_rejected_before_allocating(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="truncated payload of 'extra.huge'"):
+            enc.load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_checkpoint_config_beyond_the_file_rejected_before_its_table(tmp_path):
+    # a config of 10**4 layers, 160,018 records, over a few hundred bytes: the
+    # table is checked against the bytes left as it is built, not after
+    blob = json.dumps(asdict(tiny_encoder_cfg(num_layers=10**4)), sort_keys=True).encode()
+    p = tmp_path / "model.ckpt"
+    p.write_bytes(enc.CKPT_MAGIC + struct.pack("<II", enc.CKPT_VERSION, len(blob)) + blob
+                  + bytes(200))
+    assert p.stat().st_size < 512
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="tensors need more than the 200 bytes left"):
             enc.load_checkpoint(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -16,8 +16,9 @@ report. It also keeps the git tree of `src/` when the checkout is a clean git
 clone, so a run of an unmerged commit can be matched to the tree that was
 merged. The file is rewritten after every pair.
 It ends with a per-metric summary of the measured pairs: each side's median
-and quartiles, the parent's interquartile range, and in how many pairs the
-change was better, by the direction BENCHMARK.json gives. A metric with a
+and quartiles, the parent's interquartile range, in how many pairs the
+change was better, by the direction BENCHMARK.json gives, and whether that
+is a `gain` (see `gain`). A metric with a
 `bound` there also gets a verdict: `worse` when the change's median is worse
 than the parent's by more than the bound, `unresolved` when the parent's own
 spread exceeds the bound and the change did not win every pair, else `ok`.
@@ -102,12 +103,20 @@ def verdict(entry: dict, bound: float) -> dict:
     return {"worse_by": worse_by, "parent_spread": spread, "verdict": result}
 
 
+def gain(entry: dict) -> bool:
+    """The rule for claiming a gain: the change is better in at least nine of
+    every ten pairs (a tie is better for neither side), and its median beats
+    the parent's by more than the parent's interquartile range."""
+    sign = -1 if entry["better"] == "lower" else 1
+    return (10 * entry["change_better_pairs"] >= 9 * entry["pairs"]
+            and sign * (entry["change_median"] - entry["parent_median"]) > entry["parent_iqr"])
+
+
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and metric: the median and quartiles of both sides over
-    the pairs, the parent's interquartile range, and the number of pairs in
-    which the change was strictly better. A gain is claimed when the change is
-    better in nine of ten pairs and the medians differ by more than that range.
-    A metric named in `bounds` also gets its `verdict` fields."""
+    the pairs, the parent's interquartile range, the number of pairs in which
+    the change was strictly better, and whether that makes a `gain`. A metric
+    named in `bounds` also gets its `verdict` fields."""
     out: dict = {}
     for pair in pairs:
         for name in pair["parent"]["result"]["metrics"]:
@@ -128,6 +137,7 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
                 entry[f"{side}_median"] = statistics.median(values)
                 entry[f"{side}_q1"], entry[f"{side}_q3"] = quartiles(values)
             entry["parent_iqr"] = entry["parent_q3"] - entry["parent_q1"]
+            entry["gain"] = gain(entry)
             if name in bounds:
                 entry.update(verdict(entry, bounds[name]))
     return out
