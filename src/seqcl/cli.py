@@ -138,10 +138,16 @@ def cmd_align(cfg: RunConfig, args) -> None:
 
 def cmd_retrieve(cfg: RunConfig, args) -> None:
     _, records, enc_cfg, params = _load_videos(cfg, args.video)
-    if not 0 <= args.frame < records[args.video].num_frames:
+    query = records[args.video]
+    if not 0 <= args.frame < query.num_frames:
         raise ConfigError(f"frame {args.frame} out of range for {args.video}")
-    embs = dict(zip(records, eval_mod.embed_dataset(params, enc_cfg, list(records.values()))))
-    hits = eval_mod.retrieve_frames(embs[args.video][args.frame], embs, args.video, args.K)
+    # one matrix of every frame embedding, the query video last: the
+    # candidate pool is its first rows
+    others = [rec for vid, rec in records.items() if vid != args.video]
+    frames = eval_mod.embed_frames(params, enc_cfg, others + [query])
+    n_pool = len(frames) - query.num_frames
+    hits = eval_mod.retrieve_frames(frames[n_pool + args.frame], frames[:n_pool],
+                                    [(rec.id, rec.num_frames) for rec in others], args.K)
     for rank, (vid, frame, score) in enumerate(hits, 1):
         print(f"{rank}\t{vid}\tframe {frame}\tscore {score:.6f}")
 

@@ -11,6 +11,7 @@ little-endian binary container with a JSON sidecar for labels/metadata:
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,7 +39,8 @@ class VideoRecord:
         s, d = self.features.shape
         if s < 1 or d < 1:
             raise ConfigError(f"need S >= 1 and D >= 1, got S={s}, D={d}")
-        if not np.isfinite(self.features).all():
+        # min and max are NaN or infinite if any value is; no array is allocated
+        if not (np.isfinite(self.features.min()) and np.isfinite(self.features.max())):
             raise ConfigError(f"record {self.id!r} contains non-finite features")
         if self.phase_labels is not None:
             self.phase_labels = [int(p) for p in self.phase_labels]
@@ -188,25 +190,32 @@ def _is_int(value) -> bool:
 
 
 def load_features(path: str | Path) -> VideoRecord:
+    """Read an .fseq file and its optional sidecar. The header is read first,
+    then the payload straight into its float32 array, so the file's bytes are
+    held once. The header and sidecar are checked here and the features by
+    the record's own checks; any violation is a FormatError naming the file."""
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != FSEQ_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {FSEQ_MAGIC!r}")
-    version, s, d = struct.unpack("<III", blob[4:16])
-    if version != FSEQ_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if s < 1:
-        raise FormatError(f"{path}: header field S={s}, must be >= 1")
-    if d < 1:
-        raise FormatError(f"{path}: header field D={d}, must be >= 1")
-    expected = 16 + 4 * s * d
-    if len(blob) != expected:
-        raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    feats = np.frombuffer(blob[16:], dtype="<f4").reshape(s, d).copy()
-    if not np.isfinite(feats).all():
-        raise FormatError(f"{path}: non-finite features")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if len(head) < 16:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        if head[:4] != FSEQ_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {FSEQ_MAGIC!r}")
+        version, s, d = struct.unpack("<III", head[4:16])
+        if version != FSEQ_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if s < 1:
+            raise FormatError(f"{path}: header field S={s}, must be >= 1")
+        if d < 1:
+            raise FormatError(f"{path}: header field D={d}, must be >= 1")
+        expected = 16 + 4 * s * d
+        if size != expected:
+            raise FormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        feats = np.empty((s, d), dtype="<f4")
+        got = 16 + f.readinto(feats)
+        if got != expected:  # the file shrank since it was opened
+            raise FormatError(f"{path}: payload is {got} bytes, expected {expected}")
 
     sidecar_path = path.with_suffix(".json")
     rec_id, labels, action = path.stem, None, None
@@ -230,7 +239,10 @@ def load_features(path: str | Path) -> VideoRecord:
             )
         if action is not None and not _is_int(action):
             raise FormatError(f"{sidecar_path}: action_label must be null or an int: {action!r}")
-    return VideoRecord(id=rec_id, features=feats, phase_labels=labels, action_label=action)
+    try:
+        return VideoRecord(id=rec_id, features=feats, phase_labels=labels, action_label=action)
+    except ConfigError as exc:  # shapes and labels passed above: a feature is not finite
+        raise FormatError(f"{path}: non-finite features") from exc
 
 
 def save_dataset(split: DatasetSplit, out_dir: str | Path) -> None:

@@ -295,8 +295,9 @@ def forward(
     """Encode N views, x of shape (N, T, input_dim), into (H, Z) of shape
     (N, T, .); one video is N=1. With train=True, batch norm uses (and moves
     the running statistics by) each view's own statistics, and the returned
-    cache holds what `backward` needs. At eval the cache is {}, and no
-    Transformer layer's activations outlive it."""
+    cache holds what `backward` needs. At eval the cache is {}: the input
+    projection's activations die before the first Transformer layer, and no
+    layer's activations outlive it."""
     x = np.asarray(x, dtype=params.tensors["proj.fc1.W"].dtype)
     if x.ndim != 3 or x.shape[2] != cfg.input_dim:
         raise ConfigError(f"expected (N, T, {cfg.input_dim}) input, got {x.shape}")
@@ -310,15 +311,20 @@ def forward(
 
     h = np.maximum(bn2, 0.0)
     h += positional_encoding(T, cfg.model_dim)
+    del bn1, bn2  # `backward` recomputes both from their caches
+    if not train:
+        cache = {}  # the batch norms' caches serve only `backward`
 
     for i in range(cfg.num_layers):
         lc: dict = {}
         norm1, lc["ln1"] = _norm_forward(h, p, f"layer{i}.ln1", -1)
         attn, lc["attn"] = _attn_forward(norm1, p, f"layer{i}.attn", cfg.num_heads)
         h = h + attn
+        del norm1, attn
 
         norm2, lc["ln2"] = _norm_forward(h, p, f"layer{i}.ln2", -1)
         lc["f1"] = _affine(norm2, p, f"layer{i}.ffn.fc1")
+        del norm2
         h = h + _affine(np.maximum(lc["f1"], 0.0), p, f"layer{i}.ffn.fc2")
         if train:
             cache["layers"].append(lc)

@@ -14,7 +14,7 @@ import numpy as np
 from . import encoder as enc
 from .data import DatasetSplit, VideoRecord
 from .errors import ConfigError, NumericError, check_fields, rule
-from .loss import cosine_similarities, softmax, unit_rows
+from .loss import softmax, unit_rows
 
 
 @dataclass
@@ -63,33 +63,65 @@ class EvalReport:
 def embed_dataset(
     params: enc.EncoderParams, cfg: enc.EncoderConfig, records: list[VideoRecord]
 ) -> list[np.ndarray]:
-    """Encode each full video in one eval-mode pass; rows L2-normalized."""
-    out = []
-    for rec in records:
-        emb, _ = enc.forward(params, cfg, rec.features[None], train=False)
-        H = emb.H[0].astype(np.float64)  # metrics run in float64 whatever the encoder's dtype
-        if not np.isfinite(H).all():  # float32 overflows for features near its range
+    """Encode each full video in one eval-mode pass; rows L2-normalized, in
+    float64. Returns one (S, d) array per record: consecutive row blocks of
+    one matrix, so each frame embedding is held once. A non-finite embedding
+    raises NumericError naming the video."""
+    if not records:
+        return []
+    ends = np.cumsum([rec.num_frames for rec in records])
+    pool = None
+    for rec, end in zip(records, ends):
+        H = enc.forward(params, cfg, rec.features[None], train=False)[0].H[0]
+        if pool is None:
+            pool = np.empty((ends[-1], H.shape[1]))
+        rows = pool[end - rec.num_frames : end]
+        rows[...] = H  # metrics run in float64 whatever the encoder's dtype
+        if not np.isfinite(rows).all():  # float32 overflows for features near its range
             raise NumericError(f"video {rec.id!r}: embedding is not finite")
-        out.append(unit_rows(H, f"video {rec.id!r}: embedding")[0])
-    return out
+        unit_rows(rows, f"video {rec.id!r}: embedding", out=rows)
+    return np.split(pool, ends[:-1])
+
+
+def embed_frames(
+    params: enc.EncoderParams,
+    cfg: enc.EncoderConfig,
+    records: list[VideoRecord],
+    with_ones: bool = False,
+) -> np.ndarray:
+    """Every frame embedding of `records`, in order, in one float64 matrix:
+    (n, d), or with `with_ones` the probes' (n, d+1) Xa = [X, 1], stored
+    class-major so that Xa^T is contiguous. Each video is encoded by its own
+    `embed_dataset` call and copied in, so no second matrix of every frame
+    is built; d is the width of the embeddings."""
+    n = sum(rec.num_frames for rec in records)
+    X, end = None, 0
+    for rec in records:
+        (emb,) = embed_dataset(params, cfg, [rec])
+        if X is None:
+            d = emb.shape[1]
+            X = np.ones((d + 1, n)).T if with_ones else np.empty((n, d))
+        X[end : end + len(emb), :d] = emb
+        end += len(emb)
+    return X
 
 
 # --- linear probes ---
 # Each fit takes `probe.steps` full-batch gradient descent steps from zero on
-# X @ W + b, as theta = [W; b] on Xa = [X, 1] (its transpose, for classes).
+# X @ W + b, as theta = [W; b] on the (n, d+1) train frames Xa = [X, 1]. The
+# fits read Xa through Xa^T; `evaluate` stores Xa class-major, so Xa^T is
+# one contiguous (d+1, n) matrix and neither fit copies the frames.
 
 
-def fit_classifier(X: np.ndarray, y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
+def fit_classifier(Xa: np.ndarray, y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
     """(W, b) of multinomial logistic regression on labels 0..max(y), by GD on
     the mean softmax cross-entropy. Class-major: theta is (C, d+1) and the
     logits theta @ Xa^T are (C, n), so the softmax reduces elementwise across
-    C contiguous rows instead of over n rows of length C. Only Xa^T is held;
-    the gradient err @ Xa is taken as (Xa^T @ err^T)^T."""
-    n, d = X.shape
-    XaT = np.ones((d + 1, n))
-    XaT[:d] = X.T
+    C contiguous rows instead of over n rows of length C. The gradient
+    err @ Xa is taken as (Xa^T @ err^T)^T."""
+    n, XaT = Xa.shape[0], Xa.T
     target = np.eye(int(y.max()) + 1)[:, y]
-    theta = np.zeros((target.shape[0], d + 1))
+    theta = np.zeros((target.shape[0], Xa.shape[1]))
     for _ in range(probe.steps):
         err = softmax(theta @ XaT, axis=0)
         err -= target
@@ -97,13 +129,12 @@ def fit_classifier(X: np.ndarray, y: np.ndarray, probe: ProbeConfig) -> tuple[np
     return theta[:, :-1].T, theta[:, -1]
 
 
-def fit_regressor(X: np.ndarray, Y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
+def fit_regressor(Xa: np.ndarray, Y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
     """(W, b) of least squares by GD on half the mean squared error. The step
     theta -= lr * Xa^T (Xa theta - Y) / n is theta -= lr * (G theta - c) with
     G = Xa^T Xa / n and c = Xa^T Y / n, so the n frames enter once and each
     step costs (d+1)^2 per target."""
-    n = X.shape[0]
-    Xa = np.column_stack((X, np.ones(n)))
+    n = Xa.shape[0]
     G = Xa.T @ Xa / n
     c = Xa.T @ Y / n
     theta = np.zeros((Xa.shape[1], Y.shape[1]))
@@ -113,16 +144,17 @@ def fit_regressor(X: np.ndarray, Y: np.ndarray, probe: ProbeConfig) -> tuple[np.
 
 
 def linear_probe_classification(
-    train_X: np.ndarray,
+    train_Xa: np.ndarray,
     train_y: np.ndarray,
     test_X: np.ndarray,
     test_y: np.ndarray,
     probe: ProbeConfig = ProbeConfig(),
 ) -> float:
-    """Mean per-frame test accuracy of `fit_classifier` on the train frames."""
+    """Mean per-frame test accuracy of `fit_classifier` on the train frames
+    `train_Xa`, which carry a last column of ones."""
     if np.unique(train_y).size < 2:
         raise ConfigError("probe training data contains a single class")
-    W, b = fit_classifier(train_X, train_y, probe)
+    W, b = fit_classifier(train_Xa, train_y, probe)
     return float(((test_X @ W + b).argmax(axis=1) == test_y).mean())
 
 
@@ -159,15 +191,15 @@ def r_squared(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def linear_probe_progression(
-    train_X: np.ndarray,
+    train_Xa: np.ndarray,
     train_Y: np.ndarray,
     test_X: np.ndarray,
     test_Y: np.ndarray,
     probe: ProbeConfig = ProbeConfig(),
 ) -> float:
     """Average test R^2 over target components of `fit_regressor` on the train
-    frames."""
-    W, b = fit_regressor(train_X, train_Y, probe)
+    frames `train_Xa`, which carry a last column of ones."""
+    W, b = fit_regressor(train_Xa, train_Y, probe)
     return r_squared(test_X @ W + b, test_Y)
 
 
@@ -257,23 +289,23 @@ def ap_at_k(
 
 def retrieve_frames(
     query_emb: np.ndarray,
-    dataset_embs: dict[str, np.ndarray],
-    exclude_video: str,
+    pool: np.ndarray,
+    videos: list[tuple[str, int]],
     K: int,
 ) -> list[tuple[str, int, float]]:
-    """Top-K (video_id, frame_index, score) over all other videos' frames."""
-    ids, frames, pool = [], [], []
-    for vid in dataset_embs:
-        if vid == exclude_video:
-            continue
-        embs = dataset_embs[vid]
-        ids.extend([vid] * embs.shape[0])
-        frames.extend(range(embs.shape[0]))
-        pool.append(embs)
-    if not pool:
+    """Top-K (video_id, frame_index, score) by the cosine similarity of one
+    (d,) query frame to the rows of the float64 `pool`, which holds the frames
+    of `videos`, (video_id, frame count) pairs, in order. The pool's rows are
+    scaled to unit norm in place, by the division `cosine_similarities` makes
+    on a copy."""
+    if not len(pool):
         raise ConfigError("empty candidate pool")
-    scores = cosine_similarities(query_emb[None, :], np.concatenate(pool))
-    return [(ids[i], frames[i], float(scores[0, i])) for i in _top_k(scores, K)[0]]
+    query = unit_rows(query_emb[None, :], "Z1")[0]
+    scores = query @ unit_rows(pool, "Z2", out=pool)[0].T
+    starts = np.cumsum([0] + [frames for _, frames in videos])
+    top = _top_k(scores, K)[0]
+    owners = np.searchsorted(starts, top, side="right") - 1
+    return [(videos[v][0], int(i - starts[v]), float(scores[0, i])) for v, i in zip(owners, top)]
 
 
 # --- alignment ---
@@ -349,12 +381,6 @@ def dtw_align(sim: np.ndarray) -> tuple[list[tuple[int, int]], float]:
 # --- dataset-level evaluation ---
 
 
-def _pool_frames(records, embs, num_phases):
-    labels = [np.asarray(rec.phase_labels) for rec in records]
-    progress = [progression_targets(rec, num_phases) for rec in records]
-    return np.concatenate(embs), np.concatenate(labels), np.concatenate(progress)
-
-
 def evaluate(
     params: enc.EncoderParams,
     cfg: enc.EncoderConfig,
@@ -364,18 +390,28 @@ def evaluate(
 ) -> EvalReport:
     """All four metrics on a dataset split with frozen encoder parameters.
     Accuracy is None when the train frames hold a single phase label, tau and
-    AP@K when no two test videos share an action label."""
-    train_embs = embed_dataset(params, cfg, dataset.train)
-    test_embs = embed_dataset(params, cfg, dataset.test)
-    train_X, train_y, train_Y = _pool_frames(dataset.train, train_embs, dataset.num_phases)
-    test_X, test_y, test_Y = _pool_frames(dataset.test, test_embs, dataset.num_phases)
+    AP@K when no two test videos share an action label.
 
-    acc = (linear_probe_classification(train_X, train_y, test_X, test_y, probe)
+    Each frame embedding is held once: the train frames as the probes'
+    class-major Xa (`embed_frames`), dropped once both probes are fit, and
+    the test frames as one (n_test, d) matrix whose row blocks are the
+    videos that tau and AP@K rank."""
+    train_Xa = embed_frames(params, cfg, dataset.train, with_ones=True)
+    test_X = embed_frames(params, cfg, dataset.test)
+    train_Y, test_Y = (np.concatenate([progression_targets(rec, dataset.num_phases)
+                                       for rec in recs])
+                       for recs in (dataset.train, dataset.test))
+    train_y, test_y = (np.concatenate([rec.phase_labels for rec in recs])
+                       for recs in (dataset.train, dataset.test))
+
+    acc = (linear_probe_classification(train_Xa, train_y, test_X, test_y, probe)
            if np.unique(train_y).size > 1 else None)
-    r2 = linear_probe_progression(train_X, train_Y, test_X, test_Y, probe)
+    r2 = linear_probe_progression(train_Xa, train_Y, test_X, test_Y, probe)
+    del train_Xa, train_Y
 
     # Each test video is compared with the other test videos of its action:
     # tau against each of them, AP@K with every frame querying all their frames.
+    test_embs = np.split(test_X, np.cumsum([rec.num_frames for rec in dataset.test])[:-1])
     taus, ap_frames = [], []
     for i, (rec, emb) in enumerate(zip(dataset.test, test_embs)):
         pool = [j for j, other in enumerate(dataset.test)

@@ -40,14 +40,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def unit_rows(Z: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of Z scaled to unit L2 norm, and the (rows, 1) norms. A zero row
-    raises NumericError naming `name` and the first such row."""
+def unit_rows(
+    Z: np.ndarray, name: str, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of Z scaled to unit L2 norm, in a new array or in `out` (Z itself
+    scales in place), and the (rows, 1) norms. A zero row raises NumericError
+    naming `name` and the first such row."""
     norms = np.linalg.norm(Z, axis=1, keepdims=True)
     bad = np.flatnonzero(norms == 0)
     if bad.size:
         raise NumericError(f"{name} row {bad[0]} has zero norm")
-    return Z / norms, norms
+    return np.divide(Z, norms, out=out), norms
 
 
 def gaussian_weights(s1: np.ndarray, s2: np.ndarray, sigma2: float) -> np.ndarray:

@@ -9,13 +9,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 
 # A stand-in for perfbench/run.py: prints an info line and a result line whose
-# metric values come from a file in its checkout, one run per line.
+# metric values come from a file in its checkout, one run per line, and writes
+# the run's raw samples to its JSON file under .perfbench-out/.
 STUB = '''
 import json, sys
 from pathlib import Path
 values = Path("values.txt").read_text().split()
 n = len(Path("runs.txt").read_text()) if Path("runs.txt").exists() else 0
 Path("runs.txt").write_text("x" * (n + 1))
+Path(".perfbench-out").mkdir(exist_ok=True)
+Path(f".perfbench-out/{sys.argv[2]}-seed{sys.argv[4]}-trace0.json").write_text(json.dumps(
+    {"info": {"raw_s": {"setup": [0.5, float(values[n])], "eval": [float(values[n])]}}}))
 print("noise")
 print(json.dumps({"info": {"seed": sys.argv[4], "provenance": {"git_sha": "abc", "nproc": 2}}}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
@@ -49,6 +53,9 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert first["provenance"] == {"git_sha": "abc", "nproc": 2}
     assert first["src_tree"] is None  # not a git work tree
     assert first["result"]["metrics"]["eval_s"]["value"] == 1.0
+    assert first["raw_s"] == {"setup": [0.5, 1.0], "eval": [1.0]}
+    assert [p[side]["raw_s"]["eval"] for p in doc["pairs"] for side in ("parent", "change")] == [
+        [2.0], [1.0], [2.0], [3.0], [2.0], [1.5]]
     summary = doc["summary"]["w"]
     assert summary["eval_s"] == {"better": "lower", "change_better_pairs": 2, "pairs": 3,
                                  "parent_median": 2.0, "change_median": 1.5,

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import rewrite_config_blob
 from seqcl import cli
 from seqcl import encoder as enc
 from seqcl.cli import main
-from seqcl.data import load_dataset
+from seqcl.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from seqcl.errors import SeqclError
 
 TINY = {
@@ -260,6 +261,31 @@ def test_retrieve_checks_frame_before_embedding(workspace, monkeypatch, capsys):
     assert calls == []
     assert main([*argv, str(video.num_frames - 1)]) == 0
     assert len(calls) == len(split.train) + len(split.test)
+
+
+def test_retrieve_memory_holds_each_embedding_once(tmp_path, capsys):
+    # 20 videos of 600-700 frames at the benchmark encoder: one matrix of
+    # every frame embedding, scaled in place, takes the request to 8.6 MiB,
+    # against 12.0 MiB with a per-video list, its concatenation and a copy.
+    spec = SyntheticSpec(num_videos=20, num_phases=5, feature_dim=32, min_len=600,
+                         max_len=700, noise_std=0.3, seed=3)
+    split = generate_synthetic(spec)
+    save_dataset(split, tmp_path / "data")
+    cfg = enc.EncoderConfig(input_dim=32, model_dim=64, num_layers=2, num_heads=4,
+                            ffn_dim=128, out_dim=32, proj_hidden=32, proj_out=32)
+    enc.save_checkpoint(tmp_path / "enc.ckpt", cfg, enc.init_params(cfg, 0))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"data_dir": str(tmp_path / "data"),
+                                  "checkpoint": str(tmp_path / "enc.ckpt")}))
+    tracemalloc.start()
+    try:
+        code = main(["retrieve", "--config", str(config), split.test[0].id, "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert peak < 10.5 * 2**20
 
 
 def test_repeat_runs_byte_identical(workspace):

@@ -62,12 +62,17 @@ def test_embed_deterministic():
 # --- probes ---
 
 
+def with_ones(X):
+    """The probes' train input Xa = [X, 1]."""
+    return np.column_stack((X, np.ones(len(X))))
+
+
 def test_classification_probe_separable_data():
     rng = np.random.default_rng(0)
     protos = np.eye(3)
     y = rng.integers(0, 3, 200)
     X = protos[y] + rng.normal(0, 0.01, (200, 3))
-    acc = linear_probe_classification(X[:150], y[:150], X[150:], y[150:])
+    acc = linear_probe_classification(with_ones(X[:150]), y[:150], X[150:], y[150:])
     assert acc == 1.0
 
 
@@ -75,14 +80,15 @@ def test_classification_probe_chance_on_shuffled_labels():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((3000, 8))
     y = rng.integers(0, 4, 3000)  # labels independent of features
-    acc = linear_probe_classification(X[:2500], y[:2500], X[2500:], y[2500:])
+    acc = linear_probe_classification(with_ones(X[:2500]), y[:2500], X[2500:], y[2500:])
     assert abs(acc - 0.25) < 0.05
 
 
 def test_classification_probe_single_class_rejected():
     X = np.random.default_rng(2).standard_normal((10, 3))
     with pytest.raises(ConfigError):
-        linear_probe_classification(X, np.zeros(10, dtype=int), X, np.zeros(10, dtype=int))
+        linear_probe_classification(with_ones(X), np.zeros(10, dtype=int), X,
+                                    np.zeros(10, dtype=int))
 
 
 def test_r_squared_identities():
@@ -105,7 +111,7 @@ def test_progression_probe_matches_normal_equations():
     X = rng.standard_normal((n, d))
     Y = rng.standard_normal((n, k))
     probe = ProbeConfig(steps=20000, lr=0.2)
-    r2_gd = linear_probe_progression(X, Y, X, Y, probe)
+    r2_gd = linear_probe_progression(with_ones(X), Y, X, Y, probe)
     # closed-form least squares with intercept
     Xa = np.column_stack([X, np.ones(n)])
     W, *_ = np.linalg.lstsq(Xa, Y, rcond=None)
@@ -147,14 +153,15 @@ def test_probes_match_per_frame_reference(X, y, steps):
     Y = rng.standard_normal((n, 3))
     test_X, test_y = rng.standard_normal((50, d)), rng.integers(0, 3, 50)
     test_Y = rng.standard_normal((50, 3))
+    Xa = with_ones(X)
     fits = [
-        (fit_classifier(X, y, probe),
+        (fit_classifier(Xa, y, probe),
          reference_fit_linear(X, np.eye(y.max() + 1)[y], probe, softmax),
-         linear_probe_classification(X, y, test_X, test_y, probe),
+         linear_probe_classification(Xa, y, test_X, test_y, probe),
          lambda W, b: float(((test_X @ W + b).argmax(axis=1) == test_y).mean())),
-        (fit_regressor(X, Y, probe),
+        (fit_regressor(Xa, Y, probe),
          reference_fit_linear(X, Y, probe),
-         linear_probe_progression(X, Y, test_X, test_Y, probe),
+         linear_probe_progression(Xa, Y, test_X, test_Y, probe),
          lambda W, b: r_squared(test_X @ W + b, test_Y)),
     ]
     for (W, b), (W_ref, b_ref), metric, reference_metric in fits:
@@ -340,22 +347,43 @@ def test_ap_pool_too_small():
 # --- retrieval ---
 
 
+def retrieve_from(query_emb, embs, exclude_video, K):
+    """`retrieve_frames` over every video of `embs` but `exclude_video`."""
+    videos = [(vid, len(e)) for vid, e in embs.items() if vid != exclude_video]
+    pool = np.concatenate([embs[vid] for vid, _ in videos] or [np.empty((0, len(query_emb)))])
+    return retrieve_frames(query_emb, pool, videos, K)
+
+
 def test_retrieve_ranked_and_excludes_query_video():
     rng = np.random.default_rng(8)
     embs = {f"v{i}": rng.standard_normal((6, 4)) for i in range(3)}
-    hits = retrieve_frames(embs["v0"][0], embs, "v0", K=5)
+    hits = retrieve_from(embs["v0"][0], embs, "v0", K=5)
     assert len(hits) == 5
     assert all(vid != "v0" for vid, _, _ in hits)
     scores = [s for _, _, s in hits]
     assert scores == sorted(scores, reverse=True)
 
 
+def test_retrieve_maps_columns_to_video_frames():
+    # Videos of unequal length, ranked against a per-frame list of
+    # (video, frame) owners of the pooled rows.
+    rng = np.random.default_rng(24)
+    embs = {f"v{i}": rng.standard_normal((n, 4)) for i, n in enumerate((3, 1, 7, 5))}
+    query = rng.standard_normal(4)
+    owners = [(vid, t) for vid, e in embs.items() for t in range(len(e))]
+    scores = cosine_similarities(query[None], np.concatenate(list(embs.values())))[0]
+    order = sorted(range(len(owners)), key=lambda c: (-scores[c], c))
+    for K in (1, 6, len(owners)):
+        hits = retrieve_from(query, embs, None, K)
+        assert hits == [(*owners[c], float(scores[c])) for c in order[:K]]
+
+
 def test_retrieve_errors():
     embs = {"a": np.ones((2, 3)), "b": np.ones((2, 3))}
     with pytest.raises(ConfigError):
-        retrieve_frames(np.ones(3), embs, "a", K=5)  # pool of 2 < K
+        retrieve_from(np.ones(3), embs, "a", K=5)  # pool of 2 < K
     with pytest.raises(ConfigError):
-        retrieve_frames(np.ones(3), {"a": np.ones((2, 3))}, "a", K=1)
+        retrieve_from(np.ones(3), {"a": np.ones((2, 3))}, "a", K=1)
 
 
 def test_retrieve_agrees_with_ap_at_k():
@@ -364,7 +392,7 @@ def test_retrieve_agrees_with_ap_at_k():
             "c": rng.standard_normal((20, 4))}
     labels = rng.integers(0, 2, 20)
     K = 5
-    hits = retrieve_frames(embs["q"][0], embs, "q", K=K)
+    hits = retrieve_from(embs["q"][0], embs, "q", K=K)
     frac = np.mean([labels[f] == 1 for _, f, _ in hits])
     assert ap_at_k(embs["q"][0], 1, embs["c"], labels, (K,))[K][0] == pytest.approx(frac)
 
@@ -597,6 +625,27 @@ def test_evaluate_ap_matches_per_frame_oracle(monkeypatch):
         assert report.ap_at_k[K] == float(np.mean(per_frame))
 
 
+def test_evaluate_memory_holds_each_embedding_once(tmp_path):
+    # 20 videos of 600-700 frames at the benchmark encoder. The train frames
+    # live only in the probes' class-major Xa and the test frames in one
+    # matrix: 7.1 MiB, against 13.3 MiB with per-video lists, their
+    # concatenations and a copy for the classifier.
+    split = generate_synthetic(SyntheticSpec(num_videos=20, num_phases=5, feature_dim=32,
+                                             min_len=600, max_len=700, noise_std=0.3, seed=3))
+    cfg = enc.EncoderConfig(input_dim=32, model_dim=64, num_layers=2, num_heads=4,
+                            ffn_dim=128, out_dim=32, proj_hidden=32, proj_out=32)
+    enc.save_checkpoint(tmp_path / "enc.ckpt", cfg, enc.init_params(cfg, 0))
+    cfg, params, _ = enc.load_checkpoint(tmp_path / "enc.ckpt")  # float32, as `seqcl eval`
+    tracemalloc.start()
+    try:
+        report = evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.kendalls_tau is not None
+    assert peak < 10 * 2**20
+
+
 def test_evaluate_k_beyond_pool_is_config_error():
     split = generate_synthetic(
         SyntheticSpec(num_videos=8, num_phases=3, feature_dim=6, min_len=15,
@@ -638,7 +687,7 @@ def test_zero_norm_row_is_numeric_error():
     with pytest.raises(NumericError):
         ap_at_k(np.ones(3), 0, zero, np.zeros(2, dtype=int), (1,))
     with pytest.raises(NumericError):
-        retrieve_frames(np.ones(3), {"q": np.ones((1, 3)), "c": zero}, "q", K=1)
+        retrieve_from(np.ones(3), {"q": np.ones((1, 3)), "c": zero}, "q", K=1)
 
 
 def reference_pgm(matrix):

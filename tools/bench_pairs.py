@@ -12,7 +12,10 @@ odd-numbered ones, so drift of the host's speed does not favour one side.
 
 Each run keeps perfbench's result line, and from its info line the
 provenance (git sha, Python, numpy, BLAS, CPU count) and the evaluation
-report. It also keeps the git tree of `src/` when the checkout is a clean git
+report. It keeps the run's raw samples too (`raw_s`: the set-up, epoch and
+per-request times in seconds), which perfbench writes only to
+`.perfbench-out/<workload>-seed<S>-trace0.json` in the checkout, so the
+spread behind a median can be read from the file. It also keeps the git tree of `src/` when the checkout is a clean git
 clone, so a run of an unmerged commit can be matched to the tree that was
 merged. The file is rewritten after every pair.
 It ends with a per-metric summary of the measured pairs: each side's median
@@ -38,7 +41,8 @@ from pathlib import Path
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run: its result line, the provenance and the
-    evaluation report from its info line, and its wall time."""
+    evaluation report from its info line, its raw samples from the run's
+    JSON file, and its wall time."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     start = time.perf_counter()
@@ -49,9 +53,11 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{child.stderr[-2000:]}")
     *_, info, result = child.stdout.strip().splitlines()
     info = json.loads(info)["info"]
+    written = checkout / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json"
     return {"provenance": info["provenance"], "src_tree": src_tree(checkout),
             "quality": info.get("quality"), "wall_s": round(wall, 3),
-            "result": json.loads(result)}
+            "result": json.loads(result),
+            "raw_s": json.loads(written.read_text())["info"].get("raw_s")}
 
 
 def src_tree(checkout: Path) -> str | None:
