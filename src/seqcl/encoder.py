@@ -11,14 +11,22 @@ of a view (batch statistics while training, running statistics at eval).
 Attention runs ATTN_ROWS query rows at a time, in training and at eval: its
 memory per view is O(heads * ATTN_ROWS * T), not O(heads * T^2), and it
 divides each block's context, not its weights, by the weight sums
-(FlashAttention-2). A training forward keeps every layer's activations, for
-attention q, k, v, the context and each query's log-sum-exp of its scores,
+(FlashAttention-2). Each block takes three passes: a score GEMM that also
+subtracts each query's shift, an in-place exp, and a value GEMM against
+[v, 1] whose last column is the weight sum. The shift is a bound, c_i =
+‖q_i‖·max_j ‖k_j‖ >= |score|, not the row max: with c <= SHIFT_BOUND = 40
+every exp(score - c) lies in [e^-80, 1], a normal float32, so nothing
+overflows or underflows to zero. A view whose bound exceeds it, or
+overflows, shifts by each query's max score instead, subtracted after the
+GEMM in a pass of its own. A training
+forward keeps every layer's activations, for attention q, [k, 1], [v, 1] and
+the context, with each query's log-sum-exp of its scores in q's extra column,
 but not the weights, which `backward` recomputes block by block as
-exp(scores - lse). Of each ReLU it keeps the input, not the output, and of
-each norm the normalized xhat, not the scaled output, which is also
-attention's input; `backward` recomputes those, bit for bit, where a
-gradient needs them, and drops each temporary once it is used. An eval
-forward keeps nothing.
+exp(scores - lse), from one GEMM and one exp. Of each ReLU it keeps the
+input, not the output, and of each norm the normalized xhat, not the scaled
+output, which is also attention's input; `backward` recomputes those, bit
+for bit, where a gradient needs them, and drops each temporary once it is
+used. An eval forward keeps nothing.
 
 The encoder computes in the dtype of its parameters: `forward` casts x, and
 `backward` casts the upstream gradient, to it, and every array it allocates
@@ -47,6 +55,7 @@ CKPT_VERSION = 1
 NORM_EPS = 1e-5  # batch norm and layer norm
 BN_MOMENTUM = 0.1
 ATTN_ROWS = 128  # query rows per attention block
+SHIFT_BOUND = 40.0  # largest score bound an attention view is shifted by: exp(s - c) >= e^-80
 
 
 @dataclass
@@ -151,7 +160,9 @@ def positional_encoding(T: int, model_dim: int) -> np.ndarray:
 
 
 def _affine(x, p, name):
-    return x @ p[f"{name}.W"] + p[f"{name}.b"]
+    y = x @ p[f"{name}.W"]
+    y += p[f"{name}.b"]
+    return y
 
 
 def _affine_backward(d, x, p, name, grads, input_grad=True):
@@ -215,38 +226,83 @@ def _heads(a, num_heads):
     return a.reshape(N, T, num_heads, m // num_heads).transpose(0, 2, 1, 3)
 
 
-def _attn_blocks(qh, kh):
-    """Yield (rows, k @ q_rowsᵀ) per block of ATTN_ROWS query rows: the
-    block's scores key-major, (T, rows) per head, so that reductions over the
-    keys run down the buffer's columns. Each block is written over the last in
-    one buffer. Forward and backward share the blocks, so the backward's
-    scores are the forward's bit for bit."""
-    N, heads, T, _ = qh.shape
-    buf = np.empty((N, heads, T, min(T, ATTN_ROWS)), dtype=qh.dtype)
+def _qkv(x, p, prefix, num_heads):
+    """The q, k and v affines of x in one GEMM, each (N, heads, T, head_dim + 1)
+    with a last column of ones: the weights get a zero column after each head's,
+    whose bias is 1. q is scaled by 1/√head_dim through its weights and bias."""
+    N, T, m = x.shape
+    hd = m // num_heads
+    W = np.zeros((m, 3, num_heads, hd + 1), dtype=x.dtype)
+    b = np.ones((3, num_heads, hd + 1), dtype=x.dtype)
+    for i, name in enumerate("qkv"):
+        W[:, i, :, :hd] = p[f"{prefix}.{name}.W"].reshape(m, num_heads, hd)
+        b[i, :, :hd] = p[f"{prefix}.{name}.b"].reshape(num_heads, hd)
+    scale = 1.0 / math.sqrt(hd)
+    W[:, 0] *= scale
+    b[0] *= scale
+    y = x @ W.reshape(m, -1)
+    y += b.reshape(-1)
+    return y.reshape(N, T, 3, num_heads, hd + 1).transpose(2, 0, 3, 1, 4)
+
+
+def _shift_by_bound(qk):
+    """Write -c_i into the last column of each query row of q, qk = (q, k),
+    where c_i = ‖q_i‖·max_j ‖k_j‖ per head bounds every score |q_i·k_j|
+    (Cauchy–Schwarz), and return the views whose c exceeds SHIFT_BOUND
+    anywhere: their column is 0, and their blocks take the row-max shift.
+    einsum raises no floating-point warnings, so a bound that overflows is
+    inf or NaN and sends its view to the row-max path without one."""
+    hd = qk.shape[-1] - 1
+    sq = np.einsum("snhtd,snhtd->snht", qk[..., :hd], qk[..., :hd])  # squared row norms
+    c = np.einsum("nht,nh->nht", sq[0], sq[1].max(axis=-1, initial=0.0))
+    np.sqrt(c, out=c)
+    row_max = np.flatnonzero(~(c.max(axis=(1, 2), initial=0.0) <= SHIFT_BOUND))
+    c[row_max] = 0.0
+    np.negative(c, out=qk[0, ..., hd])
+    return row_max
+
+
+def _attn_blocks(q, k):
+    """Yield (rows, k @ q_rowsᵀ) per block of ATTN_ROWS query rows: with k's
+    last column of ones, q's last column is subtracted from each score, in
+    the GEMM. The block is key-major, (T, rows) per head, so that reductions
+    over the keys run down the buffer's columns. Each block is written over
+    the last in one buffer. Forward and backward share the blocks."""
+    N, heads, T, _ = q.shape
+    buf = np.empty((N, heads, T, min(T, ATTN_ROWS)), dtype=q.dtype)
     for start in range(0, T, ATTN_ROWS):
         rows = slice(start, start + ATTN_ROWS)
-        qT = qh[:, :, rows].swapaxes(-1, -2)
-        yield rows, np.matmul(kh, qT, out=buf[..., : qT.shape[-1]])
+        qT = q[:, :, rows].swapaxes(-1, -2)
+        yield rows, np.matmul(k, qT, out=buf[..., : qT.shape[-1]])
 
 
 def _attn_forward(x, p, prefix, num_heads):
     """Multi-head self-attention over the T frames of each of x's N views, in
-    `_attn_blocks`. q is scaled by 1/√head_dim up front; each block's context
-    is divided by its weights' sums. The cache keeps q, k, v, the context and
-    the (N, heads, T, 1) log-sum-exp of each query's scores, not the weights."""
-    q, k, v = (_affine(x, p, f"{prefix}.{name}") for name in "qkv")
-    q *= 1.0 / math.sqrt(x.shape[-1] // num_heads)
-    qh, kh, vh = (_heads(a, num_heads) for a in (q, k, v))
+    `_attn_blocks`, three passes per block: the score GEMM, already shifted
+    by each query's bound c (`_shift_by_bound`), an in-place exp, and the
+    value GEMM against [v, 1], whose last column is each query's weight sum.
+    The context is the numerator over that sum. A view whose bound exceeds
+    SHIFT_BOUND shifts by 0 in the GEMM and subtracts each query's max score
+    after it. The cache keeps q, [k, 1], [v, 1] and the context, not the
+    weights; q's last column then holds minus each query's log-sum-exp, so
+    that the backward's blocks are scores - lse."""
+    qkv = _qkv(x, p, prefix, num_heads)
+    row_max = _shift_by_bound(qkv[:2])
+    q, k, v = qkv
+    hd = q.shape[-1] - 1
+    shift = q[..., hd]  # -c, then -lse
     ctx = np.empty_like(x)
-    ctxh, lse = _heads(ctx, num_heads), np.empty(qh.shape[:-1] + (1,), dtype=x.dtype)
-    for rows, e in _attn_blocks(qh, kh):
-        col_max = e.max(axis=-2, keepdims=True, initial=-np.inf)
-        e -= col_max
+    ctxh = _heads(ctx, num_heads)
+    for rows, e in _attn_blocks(q, k):
+        for n in row_max:
+            col_max = e[n].max(axis=-2, keepdims=True)
+            e[n] -= col_max
+            shift[n, :, rows] = -col_max[:, 0]
         np.exp(e, out=e)
-        col_sum = e.sum(axis=-2, keepdims=True)
-        np.divide(e.swapaxes(-1, -2) @ vh, col_sum.swapaxes(-1, -2), out=ctxh[:, :, rows])
-        lse[:, :, rows] = (col_max + np.log(col_sum)).swapaxes(-1, -2)
-    cache = {"qh": qh, "kh": kh, "vh": vh, "ctx": ctx, "lse": lse}
+        num = e.swapaxes(-1, -2) @ v
+        np.divide(num[..., :hd], num[..., hd:], out=ctxh[:, :, rows])
+        shift[:, :, rows] -= np.log(num[..., hd])
+    cache = {"q": q, "k": k, "v": v, "ctx": ctx}
     return _affine(ctx, p, f"{prefix}.o"), cache
 
 
@@ -263,25 +319,30 @@ def _attn_backward(dout, x, cache, p, prefix, num_heads, grads):
 
 def _attn_core_backward(dout, cache, p, prefix, num_heads, grads):
     """The o affine's and the row blocks' backward; returns the gradients wrt
-    the q, k and v affine outputs."""
-    qh, kh, vh, ctx = cache["qh"], cache["kh"], cache["vh"], cache["ctx"]
+    the q, k and v affine outputs. Each block is exp(scores - lse), the
+    weights, from one GEMM and one exp; lse bounds every score, on either
+    shift path. The weights' gradient less each query's D comes from one GEMM
+    too, [v, 1] @ [dctx, -D]ᵀ."""
+    q, k, v, ctx = cache["q"], cache["k"], cache["v"], cache["ctx"]
+    hd = q.shape[-1] - 1
     dq, dk, dv = np.empty_like(ctx), np.zeros_like(ctx), np.zeros_like(ctx)
     dctx = _affine_backward(dout, ctx, p, f"{prefix}.o", grads)
-    # each query's rowsum(dattn ∘ attn) is rowsum(dctx ∘ ctx): once, not per block
-    D = _heads(dctx * ctx, num_heads).sum(axis=-1)[:, :, None]
-    lse, dctx = cache["lse"].swapaxes(-1, -2), _heads(dctx, num_heads)
+    # each query's D = rowsum(dattn ∘ attn) is rowsum(dctx ∘ ctx): once, not per block
+    dctx1 = np.empty_like(q)
+    np.sum(_heads(dctx * ctx, num_heads), axis=-1, out=dctx1[..., hd])
+    np.negative(dctx1[..., hd], out=dctx1[..., hd])
+    dctx1[..., :hd] = _heads(dctx, num_heads)
+    del dctx
     dqh, dkh, dvh = (_heads(d, num_heads) for d in (dq, dk, dv))
-    dbuf = np.empty(qh.shape[:-1] + (min(qh.shape[2], ATTN_ROWS),), dtype=dq.dtype)
-    for rows, attn in _attn_blocks(qh, kh):  # (N, heads, T, rows): scores, then weights
-        attn -= lse[..., rows]
+    dbuf = np.empty(q.shape[:-1] + (min(q.shape[2], ATTN_ROWS),), dtype=dq.dtype)
+    for rows, attn in _attn_blocks(q, k):  # (N, heads, T, rows): scores - lse, then weights
         np.exp(attn, out=attn)
-        dvh += attn @ dctx[:, :, rows]
-        dscores = np.matmul(vh, dctx[:, :, rows].swapaxes(-1, -2), out=dbuf[..., : attn.shape[-1]])
-        dscores -= D[..., rows]
+        dvh += attn @ dctx1[:, :, rows, :hd]
+        dscores = np.matmul(v, dctx1[:, :, rows].swapaxes(-1, -2), out=dbuf[..., : attn.shape[-1]])
         dscores *= attn
-        np.matmul(dscores.swapaxes(-1, -2), kh, out=dqh[:, :, rows])
-        dkh += dscores @ qh[:, :, rows]
-    dq *= 1.0 / math.sqrt(ctx.shape[-1] // num_heads)
+        np.matmul(dscores.swapaxes(-1, -2), k[..., :hd], out=dqh[:, :, rows])
+        dkh += dscores @ q[:, :, rows, :hd]
+    dq *= 1.0 / math.sqrt(hd)
     return dq, dk, dv
 
 

@@ -117,3 +117,23 @@ def test_gain_needs_nine_of_ten_pairs_and_a_median_beyond_the_parent_iqr():
     assert [summary[n]["change_better_pairs"] for n in values] == [9, 8, 10, 10]
     assert {n: e["gain"] for n, e in summary.items()} == {
         "won": True, "noisy": False, "too_small": False, "won_higher": True}
+
+
+def test_workloads_after_one_flag_and_a_summary_line_each(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", [2.0] * 4)
+    change = _checkout(tmp_path / "change", [1.0, 3.0, 1.5, 1.0])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "w", "v", "--seeds", "1", "2",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == ["w", "v"]
+    assert [(p["workload"], p["seed"]) for p in doc["pairs"]] == [("w", 1), ("w", 2), ("v", 1), ("v", 2)]
+    assert [p["change"]["raw_s"]["eval"] for p in doc["pairs"]] == [[1.0], [3.0], [1.5], [1.0]]
+    lines = capsys.readouterr().out.strip().splitlines()[-4:]
+    assert lines == [
+        "w eval_s: parent 2 change 2 better 1/2 gain False verdict -",
+        "w ops_ok_ratio: parent 1 change 1 better 0/2 gain False verdict ok",
+        "v eval_s: parent 2 change 1.25 better 2/2 gain True verdict -",
+        "v ops_ok_ratio: parent 1 change 1 better 0/2 gain False verdict ok",
+    ]

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -96,10 +97,9 @@ def test_positional_encoding_is_one_read_only_table():
 
 
 def _attention_weights(attn_cache):
-    """(N, heads, T, T) weights of one layer, from its cached (scaled) q, k
-    and row log-sum-exp: exp(q kᵀ - lse)."""
-    qh, kh = attn_cache["qh"], attn_cache["kh"]
-    return np.exp(qh @ kh.swapaxes(-1, -2) - attn_cache["lse"])
+    """(N, heads, T, T) weights of one layer, from its cached [q, -lse] (q
+    scaled) and [k, 1]: exp(q kᵀ - lse)."""
+    return np.exp(attn_cache["q"] @ attn_cache["k"].swapaxes(-1, -2))
 
 
 def test_forward_single_frame_finite():
@@ -111,6 +111,12 @@ def test_forward_single_frame_finite():
     assert np.isfinite(emb.H).all() and np.isfinite(emb.Z).all()
     for lc in cache["layers"]:
         assert np.allclose(_attention_weights(lc["attn"]), 1.0)  # softmax over a single key
+
+
+def _row_max_views(attn_cache):
+    """The views of one layer's cache that `_attn_forward` shifted by the row
+    max: those whose score bound exceeds SHIFT_BOUND."""
+    return list(enc._shift_by_bound(np.stack((attn_cache["q"], attn_cache["k"]))))
 
 
 def test_attention_rows_are_probabilities():
@@ -202,10 +208,16 @@ def test_backward_requires_cache():
         enc.backward(params, cfg, cache, np.zeros_like(emb.Z), _zero_grads(params))
 
 
-@pytest.mark.parametrize("T", [128, 300])
-def test_eval_attention_row_blocks_match_full_attention(monkeypatch, T):
+@pytest.mark.parametrize("T, bound", [
+    *(pytest.param(T, None, id=str(T)) for T in (128, 300)),
+    *(pytest.param(T, 0.0, id=f"{T}-row-max") for T in (128, 300)),
+])
+def test_eval_attention_row_blocks_match_full_attention(monkeypatch, T, bound):
     # T=300 runs blocks of 128, 128 and 44 rows; T <= ATTN_ROWS is one block.
     # Eval forwards block, and so do training forwards and their backward.
+    # SHIFT_BOUND=0 sends every view to the row-max shift.
+    if bound is not None:
+        monkeypatch.setattr(enc, "SHIFT_BOUND", bound)
     cfg = tiny_encoder_cfg(num_layers=2)
     params = enc.init_params(cfg, 14)
     # move the batch-norm running statistics off their initial values
@@ -261,10 +273,122 @@ def test_attention_layer_matches_one_piece_softmax_reference():
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     assert np.ptp(scores[0, :, 0], axis=-1).min() > 900
+    assert _row_max_views(cache) == [0]  # a bound of about 1e3 is past SHIFT_BOUND
     blocked = _attention_weights(cache)
     assert np.isfinite(blocked).all()
     assert np.abs(blocked.sum(axis=-1) - 1).max() < 1e-12
     assert ((blocked[0, :, 0] > 0).sum(axis=-1) == 1).all()
+
+
+def _attention_reference(x, p, heads, dout):
+    """One-piece float64 attention layer: softmax(q kᵀ / √hd) v with the full
+    (N, heads, T, T) weights, and its gradients wrt x and every weight under
+    upstream dout."""
+    N, T, m = x.shape
+    hd = m // heads
+    q, k, v = ((x @ p[f"attn.{n}.W"] + p[f"attn.{n}.b"]).reshape(N, T, heads, hd)
+               .transpose(0, 2, 1, 3) for n in "qkv")
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(hd)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(N, T, m)
+    out = ctx @ p["attn.o.W"] + p["attn.o.b"]
+
+    def flat(a):  # (N, heads, T, hd) to (N, T, m)
+        return a.transpose(0, 2, 1, 3).reshape(N, T, m)
+
+    dctx = (dout @ p["attn.o.W"].T).reshape(N, T, heads, hd).transpose(0, 2, 1, 3)
+    dweights = dctx @ v.swapaxes(-1, -2)
+    dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    dscores /= np.sqrt(hd)
+    d = {"q": flat(dscores @ k), "k": flat(dscores.swapaxes(-1, -2) @ q),
+         "v": flat(weights.swapaxes(-1, -2) @ dctx)}
+    grads = {"attn.o.W": np.einsum("ntm,nto->mo", ctx, dout), "attn.o.b": dout.sum(axis=(0, 1))}
+    for n in "qkv":
+        grads[f"attn.{n}.W"] = np.einsum("ntm,nto->mo", x, d[n])
+        grads[f"attn.{n}.b"] = d[n].sum(axis=(0, 1))
+    dx = sum(d[n] @ p[f"attn.{n}.W"].T for n in "qkv")
+    return out, dx, grads
+
+
+@pytest.mark.parametrize("bound", [None, 0.0], ids=["bound", "row-max"])
+def test_attention_shift_paths_match_one_piece_reference(monkeypatch, bound):
+    # Two views of T=300, blocks of 128, 128 and 44 query rows: the forward
+    # and backward of either shift path against the one-piece float64 layer.
+    # SHIFT_BOUND=0 sends every view to the row-max shift.
+    if bound is not None:
+        monkeypatch.setattr(enc, "SHIFT_BOUND", bound)
+    m, heads, T = 8, 2, 300
+    rng = np.random.default_rng(41)
+    p = {f"attn.{n}.{w}": rng.uniform(-0.35, 0.35, (m, m) if w == "W" else m)
+         for n in "qkvo" for w in "Wb"}
+    x = rng.standard_normal((2, T, m))
+    dout = rng.standard_normal((2, T, m))
+    out, cache = enc._attn_forward(x, p, "attn", heads)
+    assert _row_max_views(cache) == ([] if bound is None else [0, 1])
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    dx = enc._attn_backward(dout, x, cache, p, "attn", heads, grads)
+
+    ref_out, ref_dx, ref_grads = _attention_reference(x, p, heads, dout)
+    assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_attention_query_anti_parallel_to_every_key_at_the_bound(dtype, tol):
+    # Every frame is g_j > 0 times one unit direction, q = x / √hd = x / 2
+    # and k = -x: each query is anti-parallel to every key. Frame 0 has the
+    # largest g, so c_0 = ‖q_0‖·max_j ‖k_j‖ = g_0² / 2 = SHIFT_BOUND - 0.1,
+    # and its scores shifted by c_0 reach exp(-2 c_0) = e^-79.8.
+    m, heads, T = 4, 1, 300
+    rng = np.random.default_rng(42)
+    c0 = enc.SHIFT_BOUND - 0.1
+    g = np.sqrt(2 * c0) * rng.uniform(0.5, 1.0, T)
+    g[0] = np.sqrt(2 * c0)
+    x = (g[:, None] * np.full(m, 0.5))[None].astype(dtype)
+    p = {f"attn.{n}.{w}": rng.uniform(-0.35, 0.35, (m, m) if w == "W" else m).astype(dtype)
+         for n in "vo" for w in "Wb"}
+    p |= {"attn.q.W": np.eye(m, dtype=dtype), "attn.k.W": -np.eye(m, dtype=dtype),
+          "attn.q.b": np.zeros(m, dtype=dtype), "attn.k.b": np.zeros(m, dtype=dtype)}
+    out, cache = enc._attn_forward(x, p, "attn", heads)
+    assert _row_max_views(cache) == []
+    scores = cache["q"][0, 0, 0, :m] @ cache["k"][0, 0, :, :m].T
+    assert scores.min() == pytest.approx(-c0, rel=1e-6) and scores.max() < 0
+    weights = _attention_weights(cache)
+    assert weights.dtype == dtype and np.isfinite(out).all()
+    assert np.isfinite(weights).all() and (weights[0, 0, 0] > 0).all()
+    assert np.abs(weights.sum(axis=-1) - 1).max() < tol
+
+
+def test_attention_with_huge_query_norms_warns_nothing():
+    # float32 q norms near 1e20: their squares overflow, and the bound sends
+    # the view to the row-max shift without a floating-point warning.
+    cfg = tiny_encoder_cfg(num_layers=2)
+    params = _cast(enc.init_params(cfg, 43), np.float32)
+    params.tensors["layer0.attn.q.W"] *= np.float32(1e20)
+    x = np.random.default_rng(44).standard_normal((2, 9, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluated, _ = enc.forward(params, cfg, x)
+        trained, cache = enc.forward(params, cfg, x, train=True)
+    q = cache["layers"][0]["attn"]["q"]
+    assert np.linalg.norm(q[..., :-1].astype(np.float64), axis=-1).max() > 1e19
+    assert _row_max_views(cache["layers"][0]["attn"]) == [0, 1]
+    for emb in (evaluated, trained):
+        assert np.isfinite(emb.H).all() and np.isfinite(emb.Z).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_affine_adds_the_bias_in_place_bit_for_bit(dtype):
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((2, 9, 8)).astype(dtype)
+    p = {"fc.W": rng.standard_normal((8, 5)).astype(dtype), "fc.b": rng.standard_normal(5).astype(dtype)}
+    y = enc._affine(x, p, "fc")
+    assert y.dtype == dtype and np.array_equal(y, x @ p["fc.W"] + p["fc.b"])
 
 
 def test_long_video_eval_memory_bounded():
@@ -300,17 +424,23 @@ def _layers_id(num_layers):
     return "" if num_layers == 1 else f"-{num_layers}layers"
 
 
-@pytest.mark.parametrize("seed,num_layers,views,rows", [
-    *(pytest.param(seed, num_layers, 1, None, id=f"{seed}-True{_layers_id(num_layers)}")
+@pytest.mark.parametrize("seed,num_layers,views,rows,bound", [
+    *(pytest.param(seed, num_layers, 1, None, None, id=f"{seed}-True{_layers_id(num_layers)}")
       for num_layers in (1, 2) for seed in (0, 1)),
-    *(pytest.param(2, num_layers, 2, None, id=f"pair-scl{_layers_id(num_layers)}")
+    *(pytest.param(2, num_layers, 2, None, None, id=f"pair-scl{_layers_id(num_layers)}")
       for num_layers in (1, 2)),
-    *(pytest.param(2, num_layers, 2, 2, id=f"pair-scl{_layers_id(num_layers)}-rows2")
+    *(pytest.param(2, num_layers, 2, 2, None, id=f"pair-scl{_layers_id(num_layers)}-rows2")
+      for num_layers in (1, 2)),
+    *(pytest.param(0, num_layers, 1, None, 0.0, id=f"0-True{_layers_id(num_layers)}-row-max")
+      for num_layers in (1, 2)),
+    *(pytest.param(2, num_layers, 2, 2, 0.0, id=f"pair-scl{_layers_id(num_layers)}-rows2-row-max")
       for num_layers in (1, 2)),
 ])
-def test_gradients_match_finite_differences(monkeypatch, seed, num_layers, views, rows):
+def test_gradients_match_finite_differences(monkeypatch, seed, num_layers, views, rows, bound):
     if rows:  # T=5 then runs query-row blocks of 2, 2 and 1
         monkeypatch.setattr(enc, "ATTN_ROWS", rows)
+    if bound is not None:  # SHIFT_BOUND=0 sends every view to the row-max shift
+        monkeypatch.setattr(enc, "SHIFT_BOUND", bound)
     cfg = tiny_encoder_cfg(D=6, model_dim=8, num_heads=2, ffn_dim=12, out_dim=5,
                            proj_hidden=5, proj_out=4, num_layers=num_layers)
     params = enc.init_params(cfg, seed)

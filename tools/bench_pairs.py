@@ -2,7 +2,7 @@
 pairs, and write every run's result line and provenance to one JSON file.
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --workload query-long --seeds 1 2 3 --seconds 30 --out BENCH_14.json
+        --workload train-small query-long --seeds 1 2 3 --seconds 30 --out BENCH_14.json
 
 Each checkout holds `perfbench/`, `src/` and `BENCHMARK.json`. For each
 workload and seed both sides run once, each as
@@ -25,6 +25,7 @@ is a `gain` (see `gain`). A metric with a
 `bound` there also gets a verdict: `worse` when the change's median is worse
 than the parent's by more than the bound, `unresolved` when the parent's own
 spread exceeds the bound and the change did not win every pair, else `ok`.
+The run ends by printing that summary, one line per workload and metric.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="extend", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path, required=True)
@@ -176,7 +177,18 @@ def main(argv: list[str] | None = None) -> int:
             doc["pairs"].append(pair)
             doc["summary"] = summarize(doc["pairs"], better, bounds)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for line in summary_lines(doc["summary"]):
+        print(line)
     return 0
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """One line per workload and metric: both medians, the pairs in which the
+    change was better, `gain`, and the verdict of a bounded metric (else -)."""
+    return [f"{workload} {name}: parent {e['parent_median']:.6g} change {e['change_median']:.6g}"
+            f" better {e['change_better_pairs']}/{e['pairs']} gain {e['gain']}"
+            f" verdict {e.get('verdict', '-')}"
+            for workload, metrics in summary.items() for name, e in metrics.items()]
 
 
 if __name__ == "__main__":
