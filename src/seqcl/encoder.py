@@ -84,6 +84,11 @@ class EncoderParams:
     tensors: dict[str, np.ndarray]  # learnable
     buffers: dict[str, np.ndarray]  # batch-norm running statistics
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the encoder computes in: that of its parameters."""
+        return self.tensors["proj.fc1.W"].dtype
+
 
 @dataclass
 class EmbeddingSequence:
@@ -359,7 +364,7 @@ def forward(
     cache holds what `backward` needs. At eval the cache is {}: the input
     projection's activations die before the first Transformer layer, and no
     layer's activations outlive it."""
-    x = np.asarray(x, dtype=params.tensors["proj.fc1.W"].dtype)
+    x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 3 or x.shape[2] != cfg.input_dim:
         raise ConfigError(f"expected (N, T, {cfg.input_dim}) input, got {x.shape}")
     T = x.shape[1]
@@ -414,7 +419,7 @@ def backward(
     if "trunk" not in cache:
         raise SeqclError("backward needs the cache returned by a train=True forward")
     p = params.tensors
-    grad_Z = np.asarray(grad_Z, dtype=p["proj.fc1.W"].dtype)
+    grad_Z = np.asarray(grad_Z, dtype=params.dtype)
 
     g1 = cache["g1"]
     dga = _affine_backward(grad_Z, np.maximum(g1, 0.0), p, "head.fc2", grads)

@@ -76,7 +76,7 @@ def embed_dataset(
         if pool is None:
             pool = np.empty((ends[-1], H.shape[1]))
         rows = pool[end - rec.num_frames : end]
-        rows[...] = H  # metrics run in float64 whatever the encoder's dtype
+        rows[...] = H  # float64 whatever the encoder's dtype; the classifier's copy is cast back
         if not np.isfinite(rows).all():  # float32 overflows for features near its range
             raise NumericError(f"video {rec.id!r}: embedding is not finite")
         unit_rows(rows, f"video {rec.id!r}: embedding", out=rows)
@@ -110,22 +110,34 @@ def embed_frames(
 # Each fit takes `probe.steps` full-batch gradient descent steps from zero on
 # X @ W + b, as theta = [W; b] on the (n, d+1) train frames Xa = [X, 1]. The
 # fits read Xa through Xa^T; `evaluate` stores Xa class-major, so Xa^T is
-# one contiguous (d+1, n) matrix and neither fit copies the frames.
+# one contiguous (d+1, n) matrix and neither fit copies the frames. theta
+# stays float64. The regressor reads the float64 frames; the classifier runs
+# its passes over the frames in the dtype of its Xa, which `evaluate` casts
+# to the encoder's (float32 for every checkpoint), as mixed-precision training
+# keeps the parameters in high precision and the bulk passes in low.
 
 
 def fit_classifier(Xa: np.ndarray, y: np.ndarray, probe: ProbeConfig) -> tuple[np.ndarray, ...]:
     """(W, b) of multinomial logistic regression on labels 0..max(y), by GD on
-    the mean softmax cross-entropy. Class-major: theta is (C, d+1) and the
+    the mean softmax cross-entropy, whose gradient is (P - onehot(y)) @ Xa / n
+    for the softmax P of the logits. Class-major: theta is (C, d+1) and the
     logits theta @ Xa^T are (C, n), so the softmax reduces elementwise across
-    C contiguous rows instead of over n rows of length C. The gradient
-    err @ Xa is taken as (Xa^T @ err^T)^T."""
+    C contiguous rows instead of over n rows of length C. P @ Xa is taken as
+    (Xa^T @ P^T)^T, and onehot(y) @ Xa, the class sums of the frames, once.
+
+    The logits, their softmax and Xa^T @ P^T run in Xa's dtype, in buffers
+    allocated once; theta, its update and the class sums are float64."""
     n, XaT = Xa.shape[0], Xa.T
-    target = np.eye(int(y.max()) + 1)[:, y]
-    theta = np.zeros((target.shape[0], Xa.shape[1]))
+    classes = int(y.max()) + 1
+    sums = np.stack([np.bincount(y, weights=col, minlength=classes) for col in XaT])
+    theta = np.zeros((classes, Xa.shape[1]))
+    logits = np.empty((classes, n), dtype=Xa.dtype)
+    grad = np.empty(sums.shape, dtype=Xa.dtype)
     for _ in range(probe.steps):
-        err = softmax(theta @ XaT, axis=0)
-        err -= target
-        theta -= probe.lr / n * (XaT @ err.T).T
+        np.matmul(theta.astype(Xa.dtype, copy=False), XaT, out=logits)
+        softmax(logits, axis=0, out=logits)
+        np.matmul(XaT, logits.T, out=grad)
+        theta -= probe.lr / n * (grad - sums).T
     return theta[:, :-1].T, theta[:, -1]
 
 
@@ -393,9 +405,11 @@ def evaluate(
     AP@K when no two test videos share an action label.
 
     Each frame embedding is held once: the train frames as the probes'
-    class-major Xa (`embed_frames`), dropped once both probes are fit, and
-    the test frames as one (n_test, d) matrix whose row blocks are the
-    videos that tau and AP@K rank."""
+    class-major Xa (`embed_frames`), and the test frames as one (n_test, d)
+    matrix whose row blocks are the videos that tau and AP@K rank. The
+    regressor reads the float64 Xa; Xa is then cast, still class-major, to
+    the encoder's dtype (no copy when that is float64), in which the
+    classifier runs, and dropped once it is fit."""
     train_Xa = embed_frames(params, cfg, dataset.train, with_ones=True)
     test_X = embed_frames(params, cfg, dataset.test)
     train_Y, test_Y = (np.concatenate([progression_targets(rec, dataset.num_phases)
@@ -404,10 +418,13 @@ def evaluate(
     train_y, test_y = (np.concatenate([rec.phase_labels for rec in recs])
                        for recs in (dataset.train, dataset.test))
 
-    acc = (linear_probe_classification(train_Xa, train_y, test_X, test_y, probe)
-           if np.unique(train_y).size > 1 else None)
     r2 = linear_probe_progression(train_Xa, train_Y, test_X, test_Y, probe)
-    del train_Xa, train_Y
+    del train_Y
+    acc = None
+    if np.unique(train_y).size > 1:
+        train_Xa = train_Xa.T.astype(params.dtype, copy=False).T
+        acc = linear_probe_classification(train_Xa, train_y, test_X, test_y, probe)
+    del train_Xa
 
     # Each test video is compared with the other test videos of its action:
     # tau against each of them, AP@K with every frame querying all their frames.

@@ -30,11 +30,12 @@ class SCLConfig:
         check_fields(self)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along `axis`, shifted by the maximum for stability, in one new
-    array. `initial` leaves the max as it is, and numpy reduces short rows
+    array or in `out` (x itself works in place), bit for bit the same either
+    way. `initial` leaves the max as it is, and numpy reduces short rows
     about twice as fast with it."""
-    e = x - x.max(axis=axis, keepdims=True, initial=-np.inf)
+    e = np.subtract(x, x.max(axis=axis, keepdims=True, initial=-np.inf), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e

@@ -9,7 +9,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 
 # A stand-in for perfbench/run.py: prints an info line and a result line whose
-# metric values come from a file in its checkout, one run per line, and writes
+# metric values, and eval reports if given, come from files in its checkout,
+# one run per entry, and writes
 # the run's raw samples to its JSON file under .perfbench-out/.
 STUB = '''
 import json, sys
@@ -21,7 +22,9 @@ Path(".perfbench-out").mkdir(exist_ok=True)
 Path(f".perfbench-out/{sys.argv[2]}-seed{sys.argv[4]}-trace0.json").write_text(json.dumps(
     {"info": {"raw_s": {"setup": [0.5, float(values[n])], "eval": [float(values[n])]}}}))
 print("noise")
-print(json.dumps({"info": {"seed": sys.argv[4], "provenance": {"git_sha": "abc", "nproc": 2}}}))
+reports = Path("reports.txt").read_text().split() if Path("reports.txt").exists() else None
+print(json.dumps({"info": {"seed": sys.argv[4], "provenance": {"git_sha": "abc", "nproc": 2},
+                           "quality": {"acc": reports[n]} if reports else None}}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
     "eval_s": {"value": float(values[n]), "unit": "s"},
     "ops_ok_ratio": {"value": 1.0, "unit": "ratio"},
@@ -29,10 +32,12 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
 '''
 
 
-def _checkout(root, values):
+def _checkout(root, values, reports=None):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB)
     (root / "values.txt").write_text(" ".join(map(str, values)))
+    if reports:
+        (root / "reports.txt").write_text(" ".join(reports))
     spec = {"end_to_end": [{"name": "eval_s", "better": "lower"},
                            {"name": "ops_ok_ratio", "better": "higher", "bound": 0.01}]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -120,8 +125,8 @@ def test_gain_needs_nine_of_ten_pairs_and_a_median_beyond_the_parent_iqr():
 
 
 def test_workloads_after_one_flag_and_a_summary_line_each(tmp_path, capsys):
-    parent = _checkout(tmp_path / "parent", [2.0] * 4)
-    change = _checkout(tmp_path / "change", [1.0, 3.0, 1.5, 1.0])
+    parent = _checkout(tmp_path / "parent", [2.0] * 4, ["a"] * 4)
+    change = _checkout(tmp_path / "change", [1.0, 3.0, 1.5, 1.0], ["a", "b", "a", "a"])
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--workload", "w", "v", "--seeds", "1", "2",
@@ -130,10 +135,14 @@ def test_workloads_after_one_flag_and_a_summary_line_each(tmp_path, capsys):
     assert doc["workloads"] == ["w", "v"]
     assert [(p["workload"], p["seed"]) for p in doc["pairs"]] == [("w", 1), ("w", 2), ("v", 1), ("v", 2)]
     assert [p["change"]["raw_s"]["eval"] for p in doc["pairs"]] == [[1.0], [3.0], [1.5], [1.0]]
-    lines = capsys.readouterr().out.strip().splitlines()[-4:]
+    assert [p["reports_equal"] for p in doc["pairs"]] == [True, False, True, True]
+    assert doc["pairs"][1]["change"]["quality"] == {"acc": "b"}
+    lines = capsys.readouterr().out.strip().splitlines()[-6:]
     assert lines == [
         "w eval_s: parent 2 change 2 better 1/2 gain False verdict -",
         "w ops_ok_ratio: parent 1 change 1 better 0/2 gain False verdict ok",
         "v eval_s: parent 2 change 1.25 better 2/2 gain True verdict -",
         "v ops_ok_ratio: parent 1 change 1 better 0/2 gain False verdict ok",
+        "w: reports equal in 1/2 pairs",
+        "v: reports equal in 2/2 pairs",
     ]

@@ -402,6 +402,7 @@ SIDECAR_FIELDS = {
     "action-list": ("action_label", lambda meta: [1]),
     "id-int": ("id", lambda meta: 5),
     "label-huge": ("phase_labels", lambda meta: [10**12] + meta["phase_labels"][1:]),
+    "label-beyond-int64": ("phase_labels", lambda meta: meta["phase_labels"][:-1] + [10**30]),
     "label-negative": ("phase_labels", lambda meta: [-1] + meta["phase_labels"][1:]),
     "label-num_phases": ("phase_labels", lambda meta: meta["phase_labels"][:-1] + [3]),
 }

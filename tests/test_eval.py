@@ -15,6 +15,7 @@ from seqcl.eval import (
     ap_at_k,
     dtw_align,
     embed_dataset,
+    embed_frames,
     evaluate,
     fit_classifier,
     fit_regressor,
@@ -171,6 +172,48 @@ def test_probes_match_per_frame_reference(X, y, steps):
         assert np.abs(W - W_ref).max() <= 1e-12 * scale
         assert np.abs(b - b_ref).max() <= 1e-12 * scale
         assert metric == pytest.approx(reference_metric(W_ref, b_ref), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("X, y, steps", _probe_cases())
+def test_float32_classifier_matches_float64_per_frame_reference(X, y, steps):
+    # float32 passes over the frames, float64 theta: each step's gradient
+    # carries float32 rounding, and theta sums 500 of them in float64
+    rng = np.random.default_rng(31)
+    rng.standard_normal((len(X), 3))  # the regressor's targets in the test above
+    test_X = rng.standard_normal((50, X.shape[1]))
+    probe = ProbeConfig(steps=steps)
+    W, b = fit_classifier(with_ones(X).astype(np.float32), y, probe)
+    W_ref, b_ref = reference_fit_linear(X, np.eye(y.max() + 1)[y], probe, softmax)
+    assert W.dtype == b.dtype == np.float64
+    scale = np.abs(W_ref).max()
+    assert np.abs(W - W_ref).max() <= 1e-5 * scale
+    assert np.abs(b - b_ref).max() <= 1e-5 * scale
+    assert np.array_equal((test_X @ W + b).argmax(axis=1), (test_X @ W_ref + b_ref).argmax(axis=1))
+
+
+def test_evaluate_fits_the_classifier_in_the_encoders_dtype(monkeypatch, tmp_path):
+    split = generate_synthetic(
+        SyntheticSpec(num_videos=8, num_phases=3, feature_dim=6, min_len=15,
+                      max_len=25, noise_std=0.0, seed=20)
+    )
+    cfg = tiny_encoder_cfg(D=6)
+    enc.save_checkpoint(tmp_path / "enc.ckpt", cfg, enc.init_params(cfg, 0))
+    made, seen = [], []
+
+    def embedding(*args, **kwargs):
+        made.append(embed_frames(*args, **kwargs))
+        return made[-1]
+
+    def recording(Xa, y, probe):
+        # dtype, class-major layout, and whether Xa is the train frames' own array
+        seen.append((Xa.dtype, Xa.T.flags.c_contiguous, np.shares_memory(Xa, made[-2])))
+        return fit_classifier(Xa, y, probe)
+
+    monkeypatch.setattr("seqcl.eval.embed_frames", embedding)
+    monkeypatch.setattr("seqcl.eval.fit_classifier", recording)
+    for params in (enc.load_checkpoint(tmp_path / "enc.ckpt")[1], enc.init_params(cfg, 0)):
+        evaluate(params, cfg, split, probe=ProbeConfig(steps=5), Ks=(5,))
+    assert seen == [(np.float32, True, False), (np.float64, True, True)]
 
 
 def test_progression_targets_shape_and_values():

@@ -9,6 +9,7 @@ from seqcl.loss import (
     cosine_similarities,
     gaussian_weights,
     scl_loss,
+    softmax,
 )
 
 # frozen with a 40-digit mpmath evaluation of the normalized Gaussian row
@@ -46,6 +47,20 @@ def test_gaussian_shift_invariance():
 def test_gaussian_symmetric_row():
     w = gaussian_weights([5.0], [3.0, 5.0, 7.0], 4.0)
     assert w[0, 0] == w[0, 2]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_in_place_is_bit_identical(dtype, axis):
+    x = np.random.default_rng(5).standard_normal((4, 7)).astype(dtype) * 30
+    x[1, 2] = x[3, 0] = x[2, 5] = x[3, 5] = -np.inf  # each gets weight 0
+    expected = softmax(x, axis=axis)
+    assert expected.dtype == dtype and (expected[np.isneginf(x)] == 0).all()
+    out = np.empty_like(x)
+    assert softmax(x, axis=axis, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert softmax(x, axis=axis, out=x) is x
+    assert x.tobytes() == expected.tobytes()
 
 
 def test_cosine_identity_and_sign():

@@ -17,7 +17,8 @@ per-request times in seconds), which perfbench writes only to
 `.perfbench-out/<workload>-seed<S>-trace0.json` in the checkout, so the
 spread behind a median can be read from the file. It also keeps the git tree of `src/` when the checkout is a clean git
 clone, so a run of an unmerged commit can be matched to the tree that was
-merged. The file is rewritten after every pair.
+merged. The file is rewritten after every pair. Each pair records whether
+both sides printed the same evaluation report (`reports_equal`).
 It ends with a per-metric summary of the measured pairs: each side's median
 and quartiles, the parent's interquartile range, in how many pairs the
 change was better, by the direction BENCHMARK.json gives, and whether that
@@ -25,7 +26,8 @@ is a `gain` (see `gain`). A metric with a
 `bound` there also gets a verdict: `worse` when the change's median is worse
 than the parent's by more than the bound, `unresolved` when the parent's own
 spread exceeds the bound and the change did not win every pair, else `ok`.
-The run ends by printing that summary, one line per workload and metric.
+The run ends by printing that summary, one line per workload and metric,
+and one line per workload saying in how many pairs the reports were equal.
 """
 
 from __future__ import annotations
@@ -174,21 +176,28 @@ def main(argv: list[str] | None = None) -> int:
                 pair[side] = perfbench(getattr(args, side), workload, seed, args.seconds)
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps(pair[side]["result"]["metrics"]), flush=True)
+            pair["reports_equal"] = pair["parent"]["quality"] == pair["change"]["quality"]
             doc["pairs"].append(pair)
             doc["summary"] = summarize(doc["pairs"], better, bounds)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for line in summary_lines(doc["summary"]):
+    for line in summary_lines(doc["summary"], doc["pairs"]):
         print(line)
     return 0
 
 
-def summary_lines(summary: dict) -> list[str]:
+def summary_lines(summary: dict, pairs: list[dict]) -> list[str]:
     """One line per workload and metric: both medians, the pairs in which the
-    change was better, `gain`, and the verdict of a bounded metric (else -)."""
-    return [f"{workload} {name}: parent {e['parent_median']:.6g} change {e['change_median']:.6g}"
-            f" better {e['change_better_pairs']}/{e['pairs']} gain {e['gain']}"
-            f" verdict {e.get('verdict', '-')}"
-            for workload, metrics in summary.items() for name, e in metrics.items()]
+    change was better, `gain`, and the verdict of a bounded metric (else -);
+    then one line per workload: in how many pairs both sides printed the
+    same evaluation report."""
+    lines = [f"{workload} {name}: parent {e['parent_median']:.6g} change {e['change_median']:.6g}"
+             f" better {e['change_better_pairs']}/{e['pairs']} gain {e['gain']}"
+             f" verdict {e.get('verdict', '-')}"
+             for workload, metrics in summary.items() for name, e in metrics.items()]
+    for workload in dict.fromkeys(pair["workload"] for pair in pairs):
+        equal = [pair["reports_equal"] for pair in pairs if pair["workload"] == workload]
+        lines.append(f"{workload}: reports equal in {sum(equal)}/{len(equal)} pairs")
+    return lines
 
 
 if __name__ == "__main__":
