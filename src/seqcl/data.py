@@ -43,6 +43,12 @@ class VideoRecord:
         if not (np.isfinite(self.features.min()) and np.isfinite(self.features.max())):
             raise ConfigError(f"record {self.id!r} contains non-finite features")
         if self.phase_labels is not None:
+            # one pass for the distinct types; a bool is an int but not a label
+            bad = {t for t in set(map(type, self.phase_labels))
+                   if t is bool or not issubclass(t, (int, np.integer))}
+            if bad:
+                first = next(v for v in self.phase_labels if type(v) in bad)
+                raise ConfigError(f"record {self.id!r}: phase label {first!r} is not an integer")
             self.phase_labels = list(map(int, self.phase_labels))
             if len(self.phase_labels) != s:
                 raise ConfigError(

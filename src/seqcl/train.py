@@ -18,6 +18,9 @@ from .loss import SCLConfig, baseline_contrastive_loss, scl_loss
 # The training rng is np.random.default_rng([seed, TRAIN_STREAM]): a sub-stream
 # of the run seed that shuffles batches and draws every view pair.
 TRAIN_STREAM = 3
+# A training step encodes as many whole view pairs per encoder call as fit in
+# this many view frames, and at least one pair.
+STEP_FRAMES = 512
 
 
 @dataclass
@@ -82,18 +85,25 @@ def adam_step(
         theta -= lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.eps)
 
 
-def _pair_loss_and_grads(state, enc_cfg, scl_cfg, optim_cfg, pair, scale, grads_out):
-    """One (2, T, D) forward, loss and backward into grads_out; returns the loss,
-    or None when the baseline loss has no timestamp matches for this pair."""
-    x, (s1, s2) = pair
+def _pairs_loss_and_grads(state, enc_cfg, scl_cfg, optim_cfg, pairs, scale, grads_out):
+    """One (2P, T, D) forward over P view pairs, each pair's loss on its own two
+    rows of Z, and one backward into grads_out; returns the losses of the pairs
+    that have one, in order. A pair whose baseline loss has no timestamp
+    matches gets zero upstream rows; if no pair has a loss, no backward runs."""
+    # one pair is its own stack: no copy of a paper-shape pair is held
+    x = pairs[0][0] if len(pairs) == 1 else np.concatenate([x for x, _ in pairs])
     emb, cache = enc.forward(state.params, enc_cfg, x, train=True)
     loss_fn = scl_loss if optim_cfg.loss_kind == "scl" else baseline_contrastive_loss
-    result = loss_fn(*emb.Z, s1, s2, scl_cfg)
-    if result is None:
-        return None
-    loss, grad_Z = result
-    enc.backward(state.params, enc_cfg, cache, np.stack(grad_Z) * scale, grads_out)
-    return loss
+    results = [loss_fn(emb.Z[2 * i], emb.Z[2 * i + 1], s1, s2, scl_cfg)
+               for i, (_, (s1, s2)) in enumerate(pairs)]
+    losses = [r[0] for r in results if r is not None]
+    if not losses:
+        return []
+    grad_Z = np.stack([g for r in results for g in
+                       (r[1] if r is not None else 2 * (np.zeros_like(emb.Z[0]),))]) * scale
+    del results  # the per-pair loss gradients die before the backward
+    enc.backward(state.params, enc_cfg, cache, grad_Z, grads_out)
+    return losses
 
 
 def train_epoch(
@@ -108,12 +118,18 @@ def train_epoch(
 ) -> float:
     """One pass over shuffled training videos in batches; returns mean batch loss.
 
-    One gradient set serves the whole call: each step zeroes it in place and
-    `encoder.backward` adds the batch's pairs into it, one pair at a time."""
+    A step encodes its batch's view pairs in calls of as many whole pairs as
+    fit in STEP_FRAMES view frames, at least one: at T=64 one (8, T, D)
+    forward and one backward serve a 4-video step, at T=240 each pair has its
+    own. Each call's pairs are built just before it, in record order. One
+    gradient set serves the whole epoch: each step zeroes it in place and
+    `encoder.backward` adds every view into it in batch order, so the
+    gradients and running statistics do not depend on the grouping."""
     if not dataset.train:
         raise ConfigError("empty training set")
     order = rng.permutation(len(dataset.train))
     bs = optim_cfg.videos_per_batch
+    per_call = max(1, STEP_FRAMES // (2 * aug_cfg.T))
     batch_losses = []
     grads = {k: np.empty_like(t) for k, t in state.params.tensors.items()}
     for lo in range(0, len(order), bs):
@@ -121,13 +137,11 @@ def train_epoch(
         for g in grads.values():
             g.fill(0)
         losses = []
-        for rec in batch:
-            loss = _pair_loss_and_grads(
-                state, enc_cfg, scl_cfg, optim_cfg, build_view_pair(rec, aug_cfg, rng),
-                1.0 / len(batch), grads,
-            )
-            if loss is not None:
-                losses.append(loss)
+        for c in range(0, len(batch), per_call):
+            losses += _pairs_loss_and_grads(
+                state, enc_cfg, scl_cfg, optim_cfg,
+                [build_view_pair(rec, aug_cfg, rng) for rec in batch[c : c + per_call]],
+                1.0 / len(batch), grads)
         if not losses:
             continue
         lr = cosine_lr(optim_cfg.lr, state.step, total_steps)
@@ -187,7 +201,8 @@ def fit(
     Parameters, buffers and Adam moments are float32, so the encoder computes
     in float32 and a checkpoint holds the state exactly. The float64 draws of
     `init_params` are dropped once cast, so the run holds the parameters, two
-    moments, one gradient set and one view pair's activations at a time. A
+    moments, one gradient set and one encoder call's activations at a time:
+    the pairs that fit in STEP_FRAMES view frames, one pair at T=240. A
     checkpoint is written every `checkpoint_every` epochs and after the last,
     each state once. With resume=True and an existing checkpoint, picks up
     from its recorded epoch (optimizer moments included); a checkpoint whose

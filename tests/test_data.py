@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -207,6 +208,19 @@ def test_dataset_round_trip(tmp_path):
     assert [r.id for r in loaded.train] == [r.id for r in split.train]
     for a, b in zip(split.test, loaded.test):
         assert a.features.tobytes() == b.features.tobytes()
+
+
+@pytest.mark.parametrize("labels, first", [
+    ([0.9, 1.5, True], "0.9"), ([0, True, 1], "True"),
+    ([0, 1, np.float64(2.0)], "np.float64(2.0)"), ([np.bool_(False), 0, 1], "np.False_"),
+    ([0, "1", 2], "'1'")])
+def test_record_rejects_labels_that_are_not_integers(labels, first):
+    feats = np.ones((3, 2), dtype=np.float32)
+    message = f"record 'r': phase label {first} is not an integer"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        VideoRecord(id="r", features=feats, phase_labels=labels)
+    kept = VideoRecord(id="r", features=feats, phase_labels=[0, np.int64(1), np.int32(2)])
+    assert kept.phase_labels == [0, 1, 2] and set(map(type, kept.phase_labels)) == {int}
 
 
 def test_record_invariants():

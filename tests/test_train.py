@@ -14,7 +14,7 @@ from seqcl.train import (
     OptimConfig,
     TrainState,
     _moments_as_tensors,
-    _pair_loss_and_grads,
+    _pairs_loss_and_grads,
     adam_step,
     cosine_lr,
     fit,
@@ -331,8 +331,59 @@ def test_train_epoch_reuses_one_zeroed_gradient_set(monkeypatch):
         batch = pairs[2 * step : 2 * step + 2]
         fresh = {k: np.zeros_like(t) for k, t in state.params.tensors.items()}
         for pair in batch:
-            _pair_loss_and_grads(state, ecfg, scl, optim, pair, 1.0 / len(batch), fresh)
+            _pairs_loss_and_grads(state, ecfg, scl, optim, [pair], 1.0 / len(batch), fresh)
         assert all(np.array_equal(values[k], fresh[k]) for k in fresh)
+
+
+@pytest.mark.parametrize("loss_kind, steps", [("scl", 4), ("frame", 3)])
+def test_grouped_pairs_match_one_pair_per_call(monkeypatch, loss_kind, steps):
+    # T=8 puts a whole batch in one encoder call; STEP_FRAMES=1 gives each
+    # pair its own. One record's views share no timestamp, so the frame
+    # baseline skips that pair: in the first epoch inside a 3-video call,
+    # which backs zero rows through it, and in the second as a batch alone,
+    # which takes no step.
+    split, aug, ecfg, scl, optim = _tiny_setup(epochs=2, loss_kind=loss_kind)
+    disjoint = split.train[1].id
+
+    def views(rec, cfg, rng):
+        x, ts = build_view_pair(rec, cfg, rng)
+        if rec.id == disjoint:
+            ts[1] += ts[0, -1] + 1
+        return x, ts
+
+    monkeypatch.setattr("seqcl.train.build_view_pair", views)
+    grouped, grouped_curve = fit(split, aug, ecfg, scl, optim)
+    monkeypatch.setattr("seqcl.train.STEP_FRAMES", 1)
+    single, single_curve = fit(split, aug, ecfg, scl, optim)
+    assert grouped_curve == single_curve and grouped.step == single.step == steps
+    for group in ("tensors", "buffers"):
+        a, b = getattr(grouped.params, group), getattr(single.params, group)
+        assert all(np.array_equal(a[k], b[k]) for k in b), group
+    for moment in ("m", "v"):
+        a, b = getattr(grouped, moment), getattr(single, moment)
+        assert all(np.array_equal(a[k], b[k]) for k in b), moment
+
+
+@pytest.mark.parametrize("T, shape", [(64, (8, 64, 8)), (240, (2, 240, 8))])
+def test_encoder_calls_hold_whole_pairs_up_to_step_frames(monkeypatch, T, shape):
+    # 8 videos, 4 per batch: at T=64 a step is one (8, T, D) call; at T=240
+    # two pairs would exceed STEP_FRAMES, so each pair keeps its own call
+    shapes = []
+    forward = enc.forward
+
+    def recording(params, cfg, x, **kw):
+        shapes.append(x.shape)
+        return forward(params, cfg, x, **kw)
+
+    monkeypatch.setattr(enc, "forward", recording)
+    split = generate_synthetic(SyntheticSpec(num_videos=10, num_phases=3, feature_dim=8,
+                                             min_len=T, max_len=T + 40, seed=0))
+    assert len(split.train) == 8
+    ecfg = tiny_encoder_cfg(D=8)
+    state = TrainState.fresh(enc.init_params(ecfg, 0))
+    train_epoch(state, split, AugmentConfig(T=T), ecfg, SCLConfig(),
+                OptimConfig(videos_per_batch=4), np.random.default_rng(0), total_steps=2)
+    assert shapes == [shape] * (16 // shape[0]) and state.step == 2
 
 
 def test_paper_shape_training_pair_memory_bounded():
@@ -355,8 +406,8 @@ def test_paper_shape_training_pair_memory_bounded():
     tracemalloc.start()
     try:
         grads = {k: np.zeros_like(t) for k, t in state.params.tensors.items()}
-        loss = _pair_loss_and_grads(state, cfg, SCLConfig(), OptimConfig(),
-                                    build_view_pair(rec, aug, rng), 1.0, grads)
+        (loss,) = _pairs_loss_and_grads(state, cfg, SCLConfig(), OptimConfig(),
+                                        [build_view_pair(rec, aug, rng)], 1.0, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
